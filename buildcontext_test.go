@@ -60,7 +60,7 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 // TestBuildStatsPopulated checks the pipeline reports its stages and the
 // path-index footprint.
 func TestBuildStatsPopulated(t *testing.T) {
-	eng, err := buildTestBuilder(t, 20, 40).Build(DefaultConfig())
+	eng, err := buildTestBuilder(t, 20, 40).Build(indexedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,7 @@ import (
 // out-of-range value) with ErrBadConfig instead of guessing what was meant.
 // The remaining fields keep documented zero sentinels: Group 0 means the
 // paper's 20, IndexDepth 0 disables indexing, FeedbackMix 0 disables
-// feedback biasing, Workers 0 means one worker per CPU, and CacheSize 0
-// means the default cache capacities.
+// feedback biasing, and Workers 0 means one worker per CPU.
 type Config struct {
 	// Alpha is the message-keeping probability of the dampening function,
 	// in (0, 1]. DefaultConfig sets the paper's operating point, 0.15.
@@ -83,20 +82,15 @@ type Config struct {
 	// count (certified by the determinism suites); only throughput
 	// changes.
 	Workers int
-	// CacheSize bounds the engine's two query-path memo caches: the RWMP
-	// score cache (entries keyed by canonical tree + query, shared across
-	// queries) and the path-index bound cache (entries keyed by node
-	// pair). 0 means the defaults (rwmp.DefaultScoreCacheSize and
-	// pathindex.DefaultBoundCacheSize); a negative value disables both
-	// caches. Cache hits are provably equivalent to recomputation, so
-	// results never depend on this knob.
-	CacheSize int
 }
 
-// DefaultConfig returns the paper's configuration with a star index deep
-// enough for the evaluated diameters (D ≤ 6).
+// DefaultConfig returns the paper's configuration without a star index.
+// The §V-B index only tightens branch-and-bound bounds, so rankings never
+// depend on it, and on the generated corpora its lookups cost more than
+// the pruning they buy. Set IndexDepth (6 covers the evaluated diameters,
+// D ≤ 6) to build it anyway.
 func DefaultConfig() Config {
-	return Config{Alpha: 0.15, Group: 20, Teleport: 0.15, IndexDepth: 6}
+	return Config{Alpha: 0.15, Group: 20, Teleport: 0.15}
 }
 
 // withDefaults validates the config and fills the documented zero
@@ -189,8 +183,7 @@ type Result struct {
 
 // Engine is an immutable, query-ready CI-Rank instance. It is safe for
 // concurrent use: any number of goroutines may call Search and the other
-// query methods simultaneously (the shared score and bound caches are
-// internally synchronized).
+// query methods simultaneously.
 type Engine struct {
 	g        *graph.Graph
 	ix       *textindex.Index
@@ -204,10 +197,6 @@ type Engine struct {
 	// every merged-away role key. Snapshots persist it so Importance keeps
 	// resolving merged keys after a reload.
 	mapEntries []relational.MappingEntry
-	// scores and cachedIdx are the engine-lifetime memo caches (nil when
-	// Config.CacheSize < 0).
-	scores    *rwmp.ScoreCache
-	cachedIdx *pathindex.CachedIndex
 	// buildStats records what the offline build pipeline did. Engines
 	// loaded from a snapshot report zero stage timings with Source set to
 	// how the data arrived (stream decode or mmap open).
@@ -249,25 +238,20 @@ func (e *Engine) Close() error {
 // entirely — with Source recording how the data arrived.
 func (e *Engine) BuildStats() BuildStats { return e.buildStats }
 
-// CacheStats reports cumulative hit/miss counts of the engine's query-path
-// caches, for capacity tuning and observability.
+// CacheStats reported the hit/miss counters of the engine's query-path
+// memo caches.
+//
+// Deprecated: the engine no longer has memo caches; every field is always
+// zero. The type remains only so existing callers keep compiling.
 type CacheStats struct {
 	ScoreHits, ScoreMisses int64
 	BoundHits, BoundMisses int64
 }
 
-// CacheStats returns the engine's cache counters since construction. All
-// zeros when caching is disabled (Config.CacheSize < 0).
-func (e *Engine) CacheStats() CacheStats {
-	var cs CacheStats
-	if e.scores != nil {
-		cs.ScoreHits, cs.ScoreMisses = e.scores.Stats()
-	}
-	if e.cachedIdx != nil {
-		cs.BoundHits, cs.BoundMisses = e.cachedIdx.Stats()
-	}
-	return cs
-}
+// CacheStats returns the zero CacheStats.
+//
+// Deprecated: the engine no longer has memo caches; see CacheStats.
+func (e *Engine) CacheStats() CacheStats { return CacheStats{} }
 
 // TermSelectivity reports how many graph nodes' text contains term (the
 // term's total posting-list length, case-insensitively). It is the
@@ -345,10 +329,10 @@ func (e *Engine) SearchTerms(terms []string, k int, opts SearchOptions) ([]Resul
 }
 
 // searchOptions validates k and opts and resolves them into internal search
-// options: documented defaults filled, the engine's score cache attached, and
-// the star index selected when it exists and covers the diameter. Shared by
-// the single-engine query path and the per-shard scatter legs of
-// ShardedEngine, so both resolve a request identically.
+// options: documented defaults filled and the star index selected when it
+// exists and covers the diameter. Shared by the single-engine query path and
+// the per-shard scatter legs of ShardedEngine, so both resolve a request
+// identically.
 func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error) {
 	if k < 1 {
 		return search.Options{}, fmt.Errorf("%w (got %d)", ErrBadK, k)
@@ -369,7 +353,6 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		MaxExpansions: opts.MaxExpansions,
 		Workers:       workers,
 		ExtendedMerge: opts.ExtendedMerge,
-		Scores:        e.scores,
 	}
 	if sopts.Diameter == 0 {
 		sopts.Diameter = 4
@@ -381,11 +364,7 @@ func (e *Engine) searchOptions(k int, opts SearchOptions) (search.Options, error
 		sopts.MaxExpansions = 0
 	}
 	if e.starIdx != nil && !opts.DisableIndex && sopts.Diameter <= e.starIdx.MaxDepth() {
-		if e.cachedIdx != nil {
-			sopts.Index = e.cachedIdx
-		} else {
-			sopts.Index = e.starIdx
-		}
+		sopts.Index = e.starIdx
 	}
 	// A shard engine defaults to the frontier prune, but only while the
 	// diameter stays inside the exactness horizon its ownedDist table was
@@ -605,11 +584,5 @@ func buildEngine(ctx context.Context, g *graph.Graph, mp *relational.Mapping, is
 		mapEntries: mp.Entries(),
 	}
 	stats.Source = SourceBuild
-	if cfg.CacheSize >= 0 {
-		e.scores = rwmp.NewScoreCache(model, cfg.CacheSize)
-		if starIdx != nil {
-			e.cachedIdx = pathindex.NewCached(starIdx, cfg.CacheSize)
-		}
-	}
 	return e, nil
 }

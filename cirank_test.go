@@ -1,9 +1,21 @@
 package cirank
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"cirank/internal/datagen"
+	"cirank/internal/searchbench"
 )
+
+// indexedConfig is DefaultConfig plus the §V-B star index at depth 6, which
+// covers every served diameter, for tests that exercise the index.
+func indexedConfig() Config {
+	cfg := DefaultConfig()
+	cfg.IndexDepth = 6
+	return cfg
+}
 
 // fig2Engine builds the paper's Fig. 2 scenario through the public API.
 func fig2Engine(t testing.TB, cfg Config) *Engine {
@@ -89,24 +101,70 @@ func TestEngineSearchValidation(t *testing.T) {
 	}
 }
 
+// TestEngineIndexToggle certifies that the §V-B star index only steers
+// pruning: an engine built with IndexDepth 6 returns byte-identical rankings
+// (scores, rows, edges) with the index on, with it disabled per query, and
+// against the unindexed DefaultConfig engine — on the Fig. 2 fixture and on
+// the search benchmark's dblp workload.
 func TestEngineIndexToggle(t *testing.T) {
-	eng := fig2Engine(t, DefaultConfig())
-	withIdx, err := eng.SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noIdx, err := eng.SearchTerms([]string{"papakonstantinou", "ullman"}, 2, SearchOptions{DisableIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withIdx) != len(noIdx) {
-		t.Fatalf("index changed result count: %d vs %d", len(withIdx), len(noIdx))
-	}
-	for i := range withIdx {
-		if withIdx[i].Score != noIdx[i].Score {
-			t.Errorf("index changed result %d score: %g vs %g", i, withIdx[i].Score, noIdx[i].Score)
+	indexed := indexedConfig()
+	check := func(label string, plain, idx *Engine, queries [][]string, k int) {
+		t.Helper()
+		if kind := idx.BuildStats().PathIndexMem.Kind; kind != "star" {
+			t.Fatalf("%s: IndexDepth 6 engine has path index %q, want star", label, kind)
 		}
+		if kind := plain.BuildStats().PathIndexMem.Kind; kind != "none" {
+			t.Fatalf("%s: DefaultConfig engine has path index %q, want none", label, kind)
+		}
+		answers := 0
+		for qi, q := range queries {
+			want, err := plain.SearchTerms(q, k, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers += len(want)
+			withIdx, err := idx.SearchTerms(q, k, SearchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			noIdx, err := idx.SearchTerms(q, k, SearchOptions{DisableIndex: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s query %d %v", label, qi, q)
+			sameResults(t, name+" indexed vs default", withIdx, want)
+			sameResults(t, name+" index disabled vs default", noIdx, want)
+		}
+		if answers == 0 {
+			t.Fatalf("%s: no query returned answers; the comparison is vacuous", label)
+		}
+		t.Logf("%s: %d queries, %d answers compared", label, len(queries), answers)
 	}
+	check("fig2", fig2Engine(t, DefaultConfig()), fig2Engine(t, indexed),
+		[][]string{{"papakonstantinou", "ullman"}, {"tsimmis"}, {"ullman", "citing"}}, 2)
+
+	const scale = 0.12
+	dataSeed, querySeed := searchbench.DefaultSeeds("dblp")
+	w, err := searchbench.Load("dblp", scale, dataSeed, querySeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := datagen.GenerateDBLP(datagen.DefaultDBLPConfig(dataSeed).Scale(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg Config) *Engine {
+		b := NewDBLPBuilder()
+		if err := ds.Replay(b.InsertEntity, b.Relate); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := b.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	check("dblp", build(DefaultConfig()), build(indexed), w.Queries, 10)
 }
 
 func TestEngineImportance(t *testing.T) {

@@ -59,6 +59,16 @@ import (
 	"cirank/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so slow or stalled clients cannot pin connections; idleTimeout
+// closes keep-alive connections that sat idle this long. Request bodies and
+// query evaluation are bounded separately (the batch size limit and the
+// per-query deadline).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -106,7 +116,7 @@ func main() {
 				eng.NumNodes(), eng.NumEdges(), *saveSnap, *shards-1)
 			return
 		}
-		if err := saveSnapshot(eng, *saveSnap); err != nil {
+		if err := eng.SaveFile(*saveSnap); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "cirank-server: snapshot of %d nodes, %d edges written to %s\n",
@@ -187,7 +197,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Serve until a termination signal, then drain in-flight queries: each
 	// holds a context derived from its request, so Shutdown's deadline also
@@ -312,19 +327,6 @@ func loadTenants(path string) ([]server.TenantConfig, error) {
 		out = append(out, tc)
 	}
 	return out, nil
-}
-
-// saveSnapshot writes the engine's v2 snapshot to path.
-func saveSnapshot(eng *cirank.Engine, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := eng.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(err error) {

@@ -37,7 +37,8 @@ type Workload struct {
 	Scale float64
 	// Seed is the generation seed.
 	Seed int64
-	// MaxDepth is the path-index horizon (Config.IndexDepth's default).
+	// MaxDepth is the path-index horizon the star-index stage is measured
+	// at: 6, the deepest served diameter.
 	MaxDepth int
 
 	// DS is the generated relational dataset, kept so NewBuilder can replay
@@ -85,7 +86,7 @@ func Load(dataset string, scale float64, seed int64) (*Workload, error) {
 		Dataset:  dataset,
 		Scale:    scale,
 		Seed:     seed,
-		MaxDepth: cirank.DefaultConfig().IndexDepth,
+		MaxDepth: 6,
 		DS:       ds,
 		G:        g,
 		Damp:     damp,
@@ -129,10 +130,12 @@ func (w *Workload) NewBuilder() (*cirank.Builder, error) {
 }
 
 // BuildPipeline runs the whole offline pipeline (graph, text index, PageRank,
-// star index) through the public BuildContext with the given fan-out.
+// star index at MaxDepth) through the public BuildContext with the given
+// fan-out.
 func (w *Workload) BuildPipeline(ctx context.Context, b *cirank.Builder, workers int) (*cirank.Engine, error) {
 	cfg := cirank.DefaultConfig()
 	cfg.Workers = workers
+	cfg.IndexDepth = w.MaxDepth
 	return b.BuildContext(ctx, cfg)
 }
 

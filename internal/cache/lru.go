@@ -1,29 +1,21 @@
 // Package cache provides the small, dependency-free bounded LRU map that
-// backs the query-path caches (rwmp score memoisation and pathindex bound
-// memoisation). It is not paper machinery — the paper's §V indexes are
-// offline structures — but the online caching layer the ROADMAP's
-// production-scale goal calls for.
+// backs the serving layer's result cache. It is not paper machinery.
 package cache
 
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
 // LRU is a bounded least-recently-used map. The zero value is not usable;
 // construct with New. All methods are safe for concurrent use: a single
 // mutex guards the map and recency list, which keeps the implementation
-// obviously correct under the -race test load (search workers hammer the
-// caches from GOMAXPROCS goroutines).
+// obviously correct under the -race test load.
 type LRU[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
 	items map[K]*list.Element
 	order *list.List // front = most recently used
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // entry is one key/value pair stored in the recency list.
@@ -50,10 +42,8 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits.Add(1)
 		return el.Value.(*entry[K, V]).val, true
 	}
-	c.misses.Add(1)
 	var zero V
 	return zero, false
 }
@@ -81,31 +71,9 @@ func (c *LRU[K, V]) Add(key K, val V) {
 	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
 }
 
-// GetOrCompute returns the cached value for key, computing and storing it on
-// a miss. compute may run concurrently for the same key on racing misses;
-// each racer stores its result, so compute must be deterministic for the
-// cache to stay coherent — which is exactly the contract the score and bound
-// caches rely on (their values are pure functions of the key).
-func (c *LRU[K, V]) GetOrCompute(key K, compute func() V) V {
-	if v, ok := c.Get(key); ok {
-		return v
-	}
-	v := compute()
-	c.Add(key, v)
-	return v
-}
-
 // Len reports the number of cached entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Cap reports the configured capacity.
-func (c *LRU[K, V]) Cap() int { return c.cap }
-
-// Stats reports cumulative hit and miss counts since construction.
-func (c *LRU[K, V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

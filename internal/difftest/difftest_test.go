@@ -19,7 +19,7 @@ const numShards = 8
 // TestDifferential is the harness entry point: for every committed seed it
 // generates a random workload and cross-checks all four oracle axes —
 // branch-and-bound vs naive vs exhaustive top-k, path index bounds vs
-// brute-force ground truth (plus codec roundtrips), cached/parallel engine
+// brute-force ground truth (plus codec roundtrips), parallel/indexed engine
 // variants vs the sequential baseline, and the answer/bound invariants.
 func TestDifferential(t *testing.T) {
 	for shard := 0; shard < numShards; shard++ {

@@ -6,7 +6,7 @@
 //	(a) branch-and-bound vs naive vs exhaustive top-k,
 //	(b) star path index vs naive path index vs BFS/Dijkstra ground-truth
 //	    bounds (plus codec roundtrips),
-//	(c) cached vs uncached and parallel vs sequential engines, and
+//	(c) parallel and index-assisted vs sequential engines, and
 //	(d) the invariants the paper requires but no fixture states: the
 //	    branch-and-bound upper bound is admissible (≥ the true Eq. 4 score
 //	    of every answer it could prune), returned trees are valid joined

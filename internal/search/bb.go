@@ -136,8 +136,7 @@ func (st *bbState) interrupted() bool {
 // found before the cap", and because batching changes which candidates are
 // in flight when the cap fires, truncated runs may differ across worker
 // counts. TopK is safe for concurrent use: searches share only immutable
-// state (and the optional score cache, which is itself concurrency-safe)
-// plus the scratch pool, which hands each query its own scratch.
+// state plus the scratch pool, which hands each query its own scratch.
 //
 // TopK is uncancellable; use TopKContext to bound a query by a deadline.
 func (s *Searcher) TopK(terms []string, opts Options) ([]Answer, Stats, error) {
@@ -156,9 +155,6 @@ func (s *Searcher) TopKContext(ctx context.Context, terms []string, opts Options
 		return nil, Stats{}, fmt.Errorf("%w: %w", ErrDeadline, err)
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	if err := s.checkScores(opts); err != nil {
 		return nil, Stats{}, err
 	}
 	if opts.OwnedDist != nil && len(opts.OwnedDist) != s.m.Graph().NumNodes() {
@@ -376,7 +372,7 @@ func (st *bbState) fill(c *candidate, bs *boundScratch) {
 	c.sources = st.qc.sourcesInto(c.sources, c.tree)
 	if c.cover == st.qc.full && st.qc.validAnswer(c.tree, st.opts.Diameter) {
 		c.complete = true
-		c.score = st.s.score(st.opts, c.tree, c.sources, st.qc.terms)
+		c.score = st.s.m.ScoreTree(c.tree, c.sources, st.qc.terms)
 	}
 	c.ub = st.upperBound(c, bs)
 }

@@ -27,9 +27,6 @@ func (s *Searcher) NewBoundOracle(terms []string, opts Options) (*BoundOracle, b
 	if err := opts.Validate(); err != nil {
 		return nil, false, err
 	}
-	if err := s.checkScores(opts); err != nil {
-		return nil, false, err
-	}
 	// The oracle owns an unpooled scratch for its lifetime: Evaluate reuses
 	// the same bound buffers the search's fill would, so the computed bounds
 	// are byte-identical, but nothing returns to the searcher's pool.

@@ -58,11 +58,6 @@ type Options struct {
 	// worker count (see parallel.go for the argument; the determinism
 	// tests certify it).
 	Workers int
-	// Scores optionally memoises Eq. 4 tree scores across candidates and
-	// queries. It must have been created from this searcher's model. A
-	// cache hit is provably equivalent to recomputation (see
-	// rwmp.ScoreCache), so results are unaffected.
-	Scores *rwmp.ScoreCache
 	// OwnedDist enables the scatter-gather frontier prune when non-nil:
 	// entry v is the undirected hop distance from node v to the searching
 	// shard's owned node set, -1 meaning beyond the horizon. The search

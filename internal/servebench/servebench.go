@@ -50,7 +50,6 @@ package servebench
 import (
 	"fmt"
 	"net/url"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -131,15 +130,7 @@ func NewFixture(dir, dataset string, scale float64, dataSeed, querySeed int64, k
 	defer eng.Close()
 
 	path := filepath.Join(dir, fmt.Sprintf("%s-%g.snap", dataset, scale))
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Save(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
+	if err := eng.SaveFile(path); err != nil {
 		return nil, err
 	}
 

@@ -786,20 +786,7 @@ func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
 // /v1/metrics and, deprecated, on /metrics).
 func (s *Server) handleMetricsExposition(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var cache cirank.CacheStats
-	for _, t := range s.reg.all() {
-		for _, p := range t.providers {
-			if lease := p.Acquire(); lease != nil {
-				c := lease.Engine().CacheStats()
-				lease.Release()
-				cache.ScoreHits += c.ScoreHits
-				cache.ScoreMisses += c.ScoreMisses
-				cache.BoundHits += c.BoundHits
-				cache.BoundMisses += c.BoundMisses
-			}
-		}
-	}
-	s.m.writeTo(w, s.scrape(cache))
+	s.m.writeTo(w, s.scrape())
 }
 
 // writeJSON writes a JSON response with the given status code.

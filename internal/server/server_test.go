@@ -338,8 +338,7 @@ func TestMetrics(t *testing.T) {
 		`cirank_queries_total{status="ok"} 1`,
 		`cirank_queries_total{status="bad_request"} 1`,
 		`cirank_queries_total{status="rejected"} 0`,
-		`cirank_cache_hits_total{cache="score"}`,
-		`cirank_cache_misses_total{cache="score"}`,
+		`cirank_result_cache_total{result="hit"}`,
 		"cirank_inflight_queries 0",
 		`cirank_query_duration_seconds_bucket{le="+Inf"} 1`,
 		"cirank_query_duration_seconds_count 1",
@@ -347,6 +346,9 @@ func TestMetrics(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "cirank_cache_") {
+		t.Errorf("metrics still expose the removed engine memo-cache series\n%s", body)
 	}
 }
 

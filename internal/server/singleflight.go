@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -35,6 +37,11 @@ type flightCall struct {
 // finished (followers stop waiting when their own request dies; the leader's
 // evaluation keeps running for the remaining followers, bounded by its own
 // deadline).
+//
+// A panic in fn is contained to the flight: the leader recovers it, frees the
+// key so the next identical query evaluates afresh, and hands itself and
+// every follower an error wrapping errFlightPanic, which the handlers map to
+// the typed internal error.
 func (g *flightGroup) Do(ctx context.Context, key string, fn func() (queryOutcome, error)) (out queryOutcome, coalesced bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -53,10 +60,19 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (queryOutcom
 	g.m[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			c.out, c.err = queryOutcome{}, fmt.Errorf("%w: %v", errFlightPanic, r)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+		out, err = c.out, c.err
+	}()
 	c.out, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.out, false, c.err
 }
+
+// errFlightPanic reports that a flight's evaluation panicked.
+var errFlightPanic = errors.New("server: query evaluation panicked")

@@ -520,6 +520,73 @@ func TestFlightGroup(t *testing.T) {
 	}
 }
 
+// TestFlightGroupLeaderPanic: a leader whose evaluation panics must not
+// wedge its key. The leader and a waiting follower both get the typed
+// internal error, and the same key then evaluates again.
+func TestFlightGroupLeaderPanic(t *testing.T) {
+	var g flightGroup
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := g.Do(context.Background(), "k", func() (queryOutcome, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	// Do reads a follower's ctx.Done only once it has found the flight, so
+	// the probe releases the leader exactly when the follower is waiting.
+	probe := &doneProbe{Context: context.Background(), waiting: make(chan struct{})}
+	followerDone := make(chan struct{})
+	go func() {
+		defer close(followerDone)
+		_, coalesced, err := g.Do(probe, "k", func() (queryOutcome, error) {
+			t.Error("follower ran the function")
+			return queryOutcome{}, nil
+		})
+		if !coalesced || !errors.Is(err, errFlightPanic) {
+			t.Errorf("follower: coalesced=%t err=%v", coalesced, err)
+		}
+		if code := mapQueryError(err).code; code != codeInternal {
+			t.Errorf("follower error maps to %q, want %q", code, codeInternal)
+		}
+	}()
+	<-probe.waiting
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, errFlightPanic) {
+		t.Errorf("leader err = %v, want errFlightPanic", err)
+	}
+	select {
+	case <-followerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still waiting on the panicked flight")
+	}
+
+	out, coalesced, err := g.Do(context.Background(), "k", func() (queryOutcome, error) {
+		return queryOutcome{generation: 3}, nil
+	})
+	if coalesced || err != nil || out.generation != 3 {
+		t.Errorf("post-panic call: out=%+v coalesced=%t err=%v", out, coalesced, err)
+	}
+}
+
+// doneProbe is a context that closes waiting on its first Done call.
+type doneProbe struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (p *doneProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.waiting) })
+	return p.Context.Done()
+}
+
 // TestResultCacheSwap: swap discards every entry (the hot-reload memory
 // release) while the hit/miss counters keep accumulating.
 func TestResultCacheSwap(t *testing.T) {

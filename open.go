@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"cirank/internal/mmapio"
 )
@@ -23,7 +25,10 @@ import (
 // snapshot file is accepted too: it has no sectioned layout to alias, so it
 // is decoded through the stream path (Source reports SourceStream) and the
 // mapping is released before Open returns. Corrupt files are rejected with
-// an error wrapping ErrBadSnapshot.
+// an error wrapping ErrBadSnapshot. The mapped file must never be rewritten
+// in place while the engine is open — truncating it makes the next search
+// touching the lost pages die with SIGBUS; replace it with SaveFile, which
+// renames a new file over the path and leaves the mapped one intact.
 func Open(path string) (*Engine, error) {
 	m, err := mmapio.Map(path)
 	if err != nil {
@@ -49,4 +54,31 @@ func Open(path string) (*Engine, error) {
 	e.closer = m.Close
 	e.buildStats.Source = SourceMmap
 	return e, nil
+}
+
+// SaveFile writes the engine's v2 snapshot (see Save) to path atomically:
+// the image goes to a temporary file in the same directory, which is then
+// renamed over path. A reader never sees a partial snapshot, and an engine
+// that Open mapped from the previous file at path keeps searching its own
+// (now unlinked) file, so re-saving under a live server and then reloading
+// is safe. The file is created with mode 0644.
+func (e *Engine) SaveFile(path string) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		err = e.Save(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -3,15 +3,11 @@ package cirank
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"cirank/internal/graph"
-	"cirank/internal/pathindex"
 	"cirank/internal/relational"
-	"cirank/internal/rwmp"
 	"cirank/internal/search"
 	"cirank/internal/shard"
 	"cirank/internal/textindex"
@@ -19,7 +15,7 @@ import (
 
 // DefaultShardRadius is the halo depth ShardEngines uses when radius is 0.
 // A radius-r shard set answers diameters up to 2·r exactly, so 3 covers the
-// serving layer's diameter ceiling of 6 (DefaultConfig's IndexDepth).
+// serving layer's default diameter ceiling of 6 (server Config.MaxDiameter).
 const DefaultShardRadius = 3
 
 // shardMeta records the slice of a partition plan one shard engine serves.
@@ -205,10 +201,6 @@ func ShardEnginesWithStrategy(ctx context.Context, e *Engine, count, radius int,
 		}
 		se.buildStats.Source = SourceBuild
 		se.buildStats.Workers = e.workers
-		se.scores = rwmp.NewScoreCache(sh.Model, 0)
-		if sh.Star != nil {
-			se.cachedIdx = pathindex.NewCached(sh.Star, 0)
-		}
 		engines[i] = se
 	}
 	return engines, nil
@@ -343,19 +335,6 @@ func (s *ShardedEngine) TermSelectivity(term string) int {
 	return total
 }
 
-// CacheStats sums the cache counters of every shard engine.
-func (s *ShardedEngine) CacheStats() CacheStats {
-	var cs CacheStats
-	for _, e := range s.shards {
-		c := e.CacheStats()
-		cs.ScoreHits += c.ScoreHits
-		cs.ScoreMisses += c.ScoreMisses
-		cs.BoundHits += c.BoundHits
-		cs.BoundMisses += c.BoundMisses
-	}
-	return cs
-}
-
 // Close closes every shard engine and returns the first error. The same
 // in-flight-query caveat as Engine.Close applies to each shard.
 func (s *ShardedEngine) Close() error {
@@ -463,28 +442,14 @@ func ShardSnapshotPath(path string, index int) string {
 }
 
 // SaveShardSet writes one v2 snapshot per shard engine under the
-// ShardSnapshotPath naming scheme. Each file is written to a temporary name
-// in the same directory and renamed into place, so a reader never sees a
-// partial snapshot.
+// ShardSnapshotPath naming scheme. Each file is written atomically with
+// SaveFile, so a reader never sees a partial snapshot.
 func SaveShardSet(engines []*Engine, path string) error {
 	if _, err := NewSharded(engines); err != nil {
 		return err
 	}
 	for i, e := range engines {
-		target := ShardSnapshotPath(path, i)
-		tmp, err := os.CreateTemp(filepath.Dir(target), filepath.Base(target)+".tmp*")
-		if err != nil {
-			return err
-		}
-		err = e.Save(tmp)
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), target)
-		}
-		if err != nil {
-			os.Remove(tmp.Name())
+		if err := e.SaveFile(ShardSnapshotPath(path, i)); err != nil {
 			return err
 		}
 	}

@@ -429,8 +429,8 @@ func loadV1(r io.Reader) (*Engine, error) {
 }
 
 // assembleLoaded builds the engine shell every load path shares. Snapshots
-// predate the parallel/caching knobs and carry no Config, so loaded engines
-// get the auto defaults (Workers 0, default cache sizes).
+// predate the parallel knob and carry no Config, so loaded engines get the
+// auto default (Workers 0).
 func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
 	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
 	e := &Engine{
@@ -447,10 +447,6 @@ func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp 
 		},
 	}
 	e.buildStats.Source = SourceStream
-	e.scores = rwmp.NewScoreCache(model, 0)
-	if starIdx != nil {
-		e.cachedIdx = pathindex.NewCached(starIdx, 0)
-	}
 	return e
 }
 

@@ -113,7 +113,7 @@ func requireSameResults(t *testing.T, a, b *Engine, query string, k int) {
 // build or the text-index build, and must answer exactly like the engine
 // that was saved.
 func TestOpenMmapSkipsBuild(t *testing.T) {
-	eng := fig2Engine(t, DefaultConfig())
+	eng := fig2Engine(t, indexedConfig())
 	path := writeSnapFile(t, saveV2(t, eng))
 	loaded, err := Open(path)
 	if err != nil {
@@ -282,11 +282,58 @@ func TestMergedEntityLookupSurvivesReload(t *testing.T) {
 	}
 }
 
+// TestSaveFileOverMappedSnapshot re-saves a different, much smaller engine
+// over the path a live engine was opened from. SaveFile must leave the
+// mapped file intact — rewriting it in place would truncate the mapping and
+// crash the next search with SIGBUS — so the old engine keeps answering
+// exactly as before, while a fresh Open of the path sees the new engine.
+func TestSaveFileOverMappedSnapshot(t *testing.T) {
+	big := concurrencyEngine(t, indexedConfig())
+	path := filepath.Join(t.TempDir(), "eng.snap")
+	if err := big.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("saved snapshot stat = %v, %v; want mode 0644", fi, err)
+	}
+	live, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	requireSameResults(t, big, live, "number3 number10", 5)
+
+	small := fig2Engine(t, DefaultConfig())
+	if err := small.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"number3 number10", "number1 number2", "author paper"} {
+		requireSameResults(t, big, live, q, 5)
+	}
+
+	reopened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.NumNodes() != small.NumNodes() {
+		t.Errorf("reopened snapshot has %d nodes, want the re-saved engine's %d", reopened.NumNodes(), small.NumNodes())
+	}
+	requireSameResults(t, small, reopened, "papakonstantinou ullman", 2)
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("SaveFile left %d files behind, want only the snapshot", len(entries))
+	}
+}
+
 // TestSnapshotV2Corruptions drives every validation branch of the v2
 // decoder with a targeted mutation; each must be rejected with a typed
 // ErrBadSnapshot, never a panic or a silently wrong engine.
 func TestSnapshotV2Corruptions(t *testing.T) {
-	snap := saveV2(t, fig2Engine(t, DefaultConfig()))
+	snap := saveV2(t, fig2Engine(t, indexedConfig()))
 	metaEntry, metaOff, _ := findEntry(t, snap, secMeta)
 	impEntry, impOff, _ := findEntry(t, snap, secImp)
 	_ = impEntry
