@@ -8,7 +8,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZMINIMIZE ?= 5x
 
-.PHONY: all build test race vet lint fuzz diff cover bench bench-json bench-search bench-serve bench-shard bench-smoke check serve loadgen loadgen-tenants
+.PHONY: all build test race vet lint fuzz diff cover bench bench-json bench-search bench-serve bench-shard bench-smoke check serve
 
 all: check
 
@@ -60,33 +60,18 @@ cover:
 serve:
 	$(GO) run ./cmd/cirank-server -dataset dblp -addr :8080
 
-# loadgen replays the skewed query stream against a live server in the
-# four tracked arms (caches off / warmed / hot reloads mid-load / the
-# stream spread over three named tenants with reloads hitting only t0)
-# and prints the serve report without touching the tracked JSON. Use
-# `make bench-serve` to refresh BENCH_serve.json.
-loadgen:
-	$(GO) run ./cmd/cirank-loadgen -out -
-
-# loadgen-tenants runs just the mixed-tenant isolation arm: three named
-# tenants over one snapshot, hot reloads targeting t0 only. stale/failed
-# and stale_other/failed_other must all be zero — a nonzero count means a
-# reload of one tenant leaked into another.
-loadgen-tenants:
-	$(GO) run ./cmd/cirank-loadgen -arms tenants -out -
-
 # bench runs the paper-figure benchmarks plus the parallel/caching grid.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # bench-json regenerates the tracked performance trajectories: the
-# offline-build grid (BENCH_build.json: scale x workers x stage, including
-# the frozen map-based baseline), the engine-startup comparison
-# (BENCH_load.json: cold build vs stream snapshot load vs zero-copy mmap
-# open) and the online-search grid (BENCH_search.json: per-query p50/p99
-# latency and allocations over a skewed query stream, live engine vs the
-# frozen pre-rewrite allocator). Commit the results when the pipeline,
-# snapshot format or search hot path changes.
+# offline-build grid (BENCH_build.json: scale x workers x stage), the
+# engine-startup comparison (BENCH_load.json: cold build vs stream snapshot
+# load vs zero-copy mmap open), the online-search grid (BENCH_search.json:
+# per-query p50/p99 latency and allocations over a skewed query stream),
+# the serving stack (BENCH_serve.json) and the sharded coordinator
+# (BENCH_shard.json). Commit the results when the pipeline, snapshot format
+# or search hot path changes.
 bench-json:
 	$(GO) run ./cmd/cirank-bench -out BENCH_build.json
 	$(GO) run ./cmd/cirank-bench -mode load -out BENCH_load.json
@@ -111,15 +96,16 @@ bench-serve:
 	$(GO) run ./cmd/cirank-bench -mode serve -out BENCH_serve.json
 
 # bench-search is the ad-hoc view of the online hot path: the BenchmarkSearch
-# grid (scale x workers x k over the skewed stream, plus the frozen
-# naive-alloc baseline) with allocation counts, without touching the tracked
-# JSON. Use `make bench-json` to refresh BENCH_search.json.
+# grid (scale x workers x k over the skewed stream) with allocation counts,
+# without touching the tracked JSON. Use `make bench-json` to refresh
+# BENCH_search.json.
 bench-search:
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$' -benchmem .
 
 # bench-smoke is the CI gate for the benchmark surface: every BenchmarkBuild
 # and BenchmarkSearch cell runs once (catching bit-rot in the grids
-# themselves), the build-determinism suites run under the race detector, and
+# themselves), the build-determinism suites run under the race detector, the
+# serve harness runs its four tracked arms for 1s each (gating), and
 # reduced grids are diffed against the committed BENCH_*.json baselines. The
 # wall-clock diffs are warn-only (leading '-'): shared CI runners are too
 # noisy to gate merges on wall-clock, but the delta tables in the log show
@@ -131,8 +117,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkBuild$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkSearch$$' -benchtime 1x .
 	$(GO) test -race -run 'TestBuild|TestScratch|TestEdgeOrder|TestWeightBinarySearch|TestSharded' ./internal/pathindex ./internal/textindex ./internal/graph .
-	$(GO) run ./cmd/cirank-loadgen -duration 1s -clients 4 -out /dev/null
-	$(GO) run ./cmd/cirank-loadgen -arms tenants -duration 1s -clients 4 -out /dev/null
+	$(GO) run ./cmd/cirank-bench -mode serve -benchtime 1s -workers 4 -out /dev/null
 	-$(GO) run ./cmd/cirank-bench -compare BENCH_build.json -scales 0.25 -workers 1,2 -out /dev/null
 	-$(GO) run ./cmd/cirank-bench -mode load -compare BENCH_load.json -scales 0.25 -out /dev/null
 	-$(GO) run ./cmd/cirank-bench -mode search -compare BENCH_search.json -scales 0.12 -benchtime 1x -out /dev/null

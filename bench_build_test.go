@@ -6,13 +6,9 @@ package cirank_test
 // lives in package cirank_test because buildbench imports the root package (a
 // cirank-internal benchmark would be an import cycle).
 //
-// Two speedup axes matter, and they need different machines to show:
-//
-//   - workers: N-worker vs 1-worker wall clock on the same stage. Needs
-//     GOMAXPROCS > 1; on a single-CPU box the grid still certifies that extra
-//     workers cost nothing.
-//   - allocation: the live pooled-buffer naive build vs the frozen
-//     "naive-maps" baseline at workers=1. Visible on any machine.
+// The speedup axis is workers: N-worker vs 1-worker wall clock on the same
+// stage. It needs GOMAXPROCS > 1; on a single-CPU box the grid still
+// certifies that extra workers cost nothing.
 //
 // Run with `make bench-json` to regenerate BENCH_build.json.
 
@@ -57,12 +53,8 @@ func BenchmarkBuild(b *testing.B) {
 			if st.Quadratic && sc.scale > 1 {
 				continue
 			}
-			workerCounts := benchWorkers
-			if !st.Parallel {
-				workerCounts = []int{1}
-			}
 			b.Run(fmt.Sprintf("stage=%s/data=dblp-%s", st.Name, sc.name), func(b *testing.B) {
-				for _, workers := range workerCounts {
+				for _, workers := range benchWorkers {
 					b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 						benchStage(b, w, st, workers)
 					})

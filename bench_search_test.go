@@ -6,11 +6,6 @@ package cirank_test
 // test -bench BenchmarkSearch` and the tracked BENCH_search.json measure the
 // same queries against the same model.
 //
-// Alongside the live engine the grid runs the frozen "naive-alloc" baseline
-// (the engine as it was before the pooled-scratch rewrite, preserved in
-// internal/searchbench) at workers=1, making the allocation win visible in
-// plain benchstat output on any machine.
-//
 // Run with `make bench-json` (or `make bench-search` for an ad-hoc pass) to
 // regenerate BENCH_search.json.
 
@@ -57,9 +52,6 @@ func BenchmarkSearch(b *testing.B) {
 					})
 				}
 			})
-			b.Run(fmt.Sprintf("stage=naive-alloc/data=dblp-%s/k=%d/workers=1", sc.name, k), func(b *testing.B) {
-				benchNaiveAllocStream(b, w, k)
-			})
 		}
 	}
 }
@@ -78,16 +70,6 @@ func benchSearchStream(b *testing.B, w *searchbench.Workload, k, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.TopK(w.Terms(i), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchNaiveAllocStream(b *testing.B, w *searchbench.Workload, k int) {
-	b.ReportAllocs()
-	opts := search.Options{K: k, Diameter: searchBenchDiameter, Workers: 1}
-	for i := 0; i < b.N; i++ {
-		if _, err := searchbench.NaiveAllocTopK(w.M, w.Terms(i), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

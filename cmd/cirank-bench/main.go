@@ -22,13 +22,13 @@
 //
 // -mode search measures the online branch-and-bound hot path: for each scale
 // it replays internal/searchbench's skewed AOL-style query stream against the
-// live pooled engine (every workers × k cell) and against the frozen
-// pre-rewrite "naive-alloc" baseline, timing every query individually so the
-// report can carry p50/p99 latency, throughput and exact allocations per
-// query (see the searchbench package comment for the field-by-field format).
-// -benchtime sets the measured budget per cell ("4x" = four stream passes,
-// or a duration); -seed is the dataset seed and -queryseed the workload
-// seed, both defaulting to the dataset's proven pair.
+// live pooled engine at every workers × k cell, timing every query
+// individually so the report can carry p50/p99 latency, throughput and exact
+// allocations per query (see the searchbench package comment for the
+// field-by-field format). -benchtime sets the measured budget per cell
+// ("4x" = four stream passes, or a duration); -seed is the dataset seed and
+// -queryseed the workload seed, both defaulting to the dataset's proven
+// pair.
 //
 // -mode shard measures the sharded scatter-gather coordinator: for each
 // scale it partitions the engine at every -shards count (through
@@ -42,14 +42,14 @@
 //
 // -mode serve measures the HTTP serving stack (internal/server) instead of
 // the engine: internal/servebench replays the same skewed stream through a
-// live server in three tracked arms — serving-caches off, the full stack
-// warmed, and the full stack with snapshot hot reloads landing mid-load —
-// and writes BENCH_serve.json under servebench's schema. In this mode
-// -workers is the closed-loop client count (first entry only), -ks the
-// answer count (first entry only), and -benchtime the measured window per
-// arm, a duration. cmd/cirank-loadgen is the standalone front end with the
-// full arm vocabulary (open-loop rates, custom arms); this mode exists so
-// the familiar -compare plumbing covers serve cells too.
+// live server in the four tracked arms (servebench.TrackedArms) — serving
+// caches off, the full stack warmed, the full stack with snapshot hot reloads
+// landing mid-load, and the stream spread over three named tenants with
+// reloads hitting only one — and writes BENCH_serve.json under servebench's
+// schema. In this mode -workers is the closed-loop client count (first entry
+// only, default 8), -ks the answer count (first entry only, default 10),
+// -scales defaults to 0.25, and -benchtime is the measured window per arm, a
+// duration (default 2s).
 //
 // With -compare the freshly measured grid is diffed against the committed
 // baseline cell by cell (matched on stage, scale and workers) and the exit
@@ -57,11 +57,8 @@
 // (default 3x — generous on purpose, so shared-runner jitter passes and
 // only real cliffs fail).
 //
-// Two derived columns make the trajectory readable at a glance:
-// speedup_vs_w1 (same stage, workers=1) measures the parallel fan-out and
-// needs a multi-core machine to exceed 1; speedup_vs_maps (the frozen
-// map-based naive baseline at the same scale) measures the allocation-lean
-// scratch-buffer rewrite and shows on any machine.
+// The derived speedup_vs_w1 column (same stage, workers=1) measures the
+// parallel fan-out and needs a multi-core machine to exceed 1.
 package main
 
 import (
@@ -114,16 +111,9 @@ type benchResult struct {
 	// SpeedupVsW1 is this stage's workers=1 time divided by this cell's
 	// time (1 for the workers=1 cells themselves).
 	SpeedupVsW1 float64 `json:"speedup_vs_w1"`
-	// SpeedupVsMaps, set on "naive" cells, is the frozen map-based
-	// baseline's time at the same scale divided by this cell's time.
-	SpeedupVsMaps float64 `json:"speedup_vs_maps,omitempty"`
 	// SpeedupVsBuild, set on load-mode cells, is the cold build's time at
 	// the same scale divided by this cell's time.
 	SpeedupVsBuild float64 `json:"speedup_vs_build,omitempty"`
-	// SpeedupVsNaiveAlloc, set on search-mode "search" cells, is the frozen
-	// pre-rewrite engine's time at the same scale and k divided by this
-	// cell's time.
-	SpeedupVsNaiveAlloc float64 `json:"speedup_vs_naive_alloc,omitempty"`
 	// SpeedupVsShard1, set on shard-mode cells, is the single-shard
 	// coordinator's time at the same scale, workers and k divided by this
 	// cell's time — the scatter-gather scaling headline.
@@ -162,7 +152,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "generation seed")
 		compare   = flag.String("compare", "", "baseline report to diff against (exit 1 past -tolerance)")
 		tolerance = flag.Float64("tolerance", 3.0, "max allowed per-cell slowdown ratio in -compare mode")
-		mode      = flag.String("mode", "build", "what to measure: build (stage grid), load (cold build vs stream load vs mmap open), search (online top-k latency) or shard (scatter-gather scaling)")
+		mode      = flag.String("mode", "build", "what to measure: build (stage grid), load (cold build vs stream load vs mmap open), search (online top-k latency), serve (HTTP serving stack) or shard (scatter-gather scaling)")
 		ks        = flag.String("ks", "5,10", "comma-separated answer counts k (search and shard modes)")
 		shards    = flag.String("shards", "1,2,4", "comma-separated shard counts (shard mode)")
 		querySeed = flag.Int64("queryseed", -1, "workload seed (search mode; -1 picks the dataset's proven pair)")
@@ -284,8 +274,7 @@ func main() {
 		Dataset:    *dataset,
 		Seed:       *seed,
 		Note: "speedup_vs_w1 compares against workers=1 of the same stage and scale " +
-			"(flat when gomaxprocs=1); speedup_vs_maps compares the pooled-buffer naive " +
-			"build against the frozen pre-rewrite map-based baseline at the same scale.",
+			"(flat when gomaxprocs=1).",
 	}
 	if *mode == "load" {
 		rep.Note = "Engine startup paths at workers=1: build is the cold public-API build, " +
@@ -297,9 +286,8 @@ func main() {
 		rep.QuerySeed = *querySeed
 		rep.Note = "Online top-k over the skewed AOL-style query stream; every query timed " +
 			"individually (p50/p99 are per-query latency percentiles, allocs_per_query the " +
-			"exact runtime allocation counter). speedup_vs_naive_alloc compares the pooled " +
-			"live engine against the frozen pre-rewrite per-candidate allocator at the same " +
-			"scale and k, and shows on any machine; speedup_vs_w1 needs gomaxprocs>1."
+			"exact runtime allocation counter). speedup_vs_w1 compares against workers=1 at " +
+			"the same scale and k and needs gomaxprocs>1."
 	}
 	if *mode == "shard" {
 		rep.QuerySeed = *querySeed
@@ -382,7 +370,7 @@ func main() {
 }
 
 // runScale measures every stage × worker cell for one loaded workload and
-// fills in the derived speedup columns.
+// fills in the derived speedup column.
 func runScale(w *buildbench.Workload, scale float64, workerList []int) []benchResult {
 	var out []benchResult
 	cell := func(stage string, workers int, f func(b *testing.B)) benchResult {
@@ -424,11 +412,7 @@ func runScale(w *buildbench.Workload, scale float64, workerList []int) []benchRe
 		if st.Quadratic && scale > 1 {
 			continue
 		}
-		counts := workerList
-		if !st.Parallel {
-			counts = []int{1}
-		}
-		for _, workers := range counts {
+		for _, workers := range workerList {
 			st, workers := st, workers
 			out = append(out, cell(st.Name, workers, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -440,24 +424,16 @@ func runScale(w *buildbench.Workload, scale float64, workerList []int) []benchRe
 		}
 	}
 
-	// Derived columns: per-stage workers=1 reference, and the map baseline
-	// for the naive rows.
+	// Derived column: the per-stage workers=1 reference.
 	w1 := map[string]int64{}
-	var mapsNs int64
 	for _, r := range out {
 		if r.Workers == 1 {
 			w1[r.Stage] = r.NsPerOp
-		}
-		if r.Stage == "naive-maps" {
-			mapsNs = r.NsPerOp
 		}
 	}
 	for i := range out {
 		if ref := w1[out[i].Stage]; ref > 0 && out[i].NsPerOp > 0 {
 			out[i].SpeedupVsW1 = round2(float64(ref) / float64(out[i].NsPerOp))
-		}
-		if out[i].Stage == "naive" && mapsNs > 0 && out[i].NsPerOp > 0 {
-			out[i].SpeedupVsMaps = round2(float64(mapsNs) / float64(out[i].NsPerOp))
 		}
 	}
 	return out

@@ -24,8 +24,8 @@ import (
 
 const searchDiameter = 4
 
-// runSearchScale measures the live engine at every workers × k cell plus the
-// frozen naive-alloc baseline (sequential) at every k, for one dataset scale.
+// runSearchScale measures the live engine at every workers × k cell for one
+// dataset scale.
 func runSearchScale(dataset string, scale float64, dataSeed, querySeed int64, workerList, kList []int, benchtime string) ([]benchResult, error) {
 	w, err := searchbench.Load(dataset, scale, dataSeed, querySeed)
 	if err != nil {
@@ -35,76 +35,46 @@ func runSearchScale(dataset string, scale float64, dataSeed, querySeed int64, wo
 		dataset, scale, w.G.NumNodes(), w.G.NumEdges(), len(w.Queries), len(w.Stream))
 
 	var out []benchResult
-	cell := func(stage string, workers, k int, run func(i int) error) error {
-		m, err := measureStream(run, len(w.Stream), benchtime)
-		if err != nil {
-			return fmt.Errorf("stage=%s scale=%g workers=%d k=%d: %w", stage, scale, workers, k, err)
-		}
-		out = append(out, benchResult{
-			Stage:          stage,
-			Scale:          scale,
-			Nodes:          w.G.NumNodes(),
-			Edges:          w.G.NumEdges(),
-			Workers:        workers,
-			K:              k,
-			N:              m.n,
-			NsPerOp:        m.meanNs,
-			P50Ns:          m.p50Ns,
-			P99Ns:          m.p99Ns,
-			QPS:            round2(m.qps),
-			AllocsPerQuery: round2(m.allocsPerQuery),
-		})
-		fmt.Fprintf(os.Stderr, "cirank-bench:   stage=%s workers=%d k=%d: p50 %d ns, p99 %d ns, %.0f q/s, %.0f allocs/query (%d queries)\n",
-			stage, workers, k, m.p50Ns, m.p99Ns, m.qps, m.allocsPerQuery, m.n)
-		return nil
-	}
-
 	for _, k := range kList {
 		for _, workers := range workerList {
 			s := search.New(w.M)
 			opts := search.Options{K: k, Diameter: searchDiameter, Workers: workers}
-			err := cell("search", workers, k, func(i int) error {
+			m, err := measureStream(func(i int) error {
 				_, _, err := s.TopK(w.Terms(i), opts)
 				return err
-			})
+			}, len(w.Stream), benchtime)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("stage=search scale=%g workers=%d k=%d: %w", scale, workers, k, err)
 			}
-		}
-		opts := search.Options{K: k, Diameter: searchDiameter, Workers: 1}
-		err := cell("naive-alloc", 1, k, func(i int) error {
-			_, err := searchbench.NaiveAllocTopK(w.M, w.Terms(i), opts)
-			return err
-		})
-		if err != nil {
-			return nil, err
+			out = append(out, benchResult{
+				Stage:          "search",
+				Scale:          scale,
+				Nodes:          w.G.NumNodes(),
+				Edges:          w.G.NumEdges(),
+				Workers:        workers,
+				K:              k,
+				N:              m.n,
+				NsPerOp:        m.meanNs,
+				P50Ns:          m.p50Ns,
+				P99Ns:          m.p99Ns,
+				QPS:            round2(m.qps),
+				AllocsPerQuery: round2(m.allocsPerQuery),
+			})
+			fmt.Fprintf(os.Stderr, "cirank-bench:   stage=search workers=%d k=%d: p50 %d ns, p99 %d ns, %.0f q/s, %.0f allocs/query (%d queries)\n",
+				workers, k, m.p50Ns, m.p99Ns, m.qps, m.allocsPerQuery, m.n)
 		}
 	}
 
-	// Derived columns: the workers=1 reference per stage and k, and the
-	// frozen baseline reference per k.
-	type ref struct {
-		stage string
-		k     int
-	}
-	w1 := map[ref]int64{}
-	naive := map[int]int64{}
+	// Derived column: the workers=1 reference per k.
+	w1 := map[int]int64{}
 	for _, r := range out {
 		if r.Workers == 1 {
-			w1[ref{r.Stage, r.K}] = r.NsPerOp
-		}
-		if r.Stage == "naive-alloc" {
-			naive[r.K] = r.NsPerOp
+			w1[r.K] = r.NsPerOp
 		}
 	}
 	for i := range out {
-		if base := w1[ref{out[i].Stage, out[i].K}]; base > 0 && out[i].NsPerOp > 0 {
+		if base := w1[out[i].K]; base > 0 && out[i].NsPerOp > 0 {
 			out[i].SpeedupVsW1 = round2(float64(base) / float64(out[i].NsPerOp))
-		}
-		if out[i].Stage == "search" {
-			if base := naive[out[i].K]; base > 0 && out[i].NsPerOp > 0 {
-				out[i].SpeedupVsNaiveAlloc = round2(float64(base) / float64(out[i].NsPerOp))
-			}
 		}
 	}
 	return out, nil

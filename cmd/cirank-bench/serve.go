@@ -10,10 +10,11 @@ import (
 )
 
 // Serve mode: -mode serve measures the HTTP serving stack instead of the
-// engine — the same three tracked arms cmd/cirank-loadgen runs (baseline
-// with the result cache and coalescing off, the full stack warmed, the
-// full stack with hot reloads landing mid-load), written under
-// servebench's schema so BENCH_serve.json joins the tracked trajectories.
+// engine — the four tracked arms of servebench.TrackedArms (baseline with
+// the result cache and coalescing off, the full stack warmed, the full
+// stack with hot reloads landing mid-load, and the mixed-tenant split with
+// reloads hitting only t0), written under servebench's schema so
+// BENCH_serve.json joins the tracked trajectories.
 // The report document comes straight from internal/servebench; this file
 // only adapts it to the shared -out/-compare plumbing.
 

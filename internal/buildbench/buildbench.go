@@ -1,15 +1,10 @@
 // Package buildbench prepares datasets and stage runners for the offline
 // build benchmarks. The root package's BenchmarkBuild and the cmd/cirank-bench
 // JSON emitter share this code, so the grid they measure — dataset scale ×
-// worker count × pipeline stage — stays one definition.
-//
-// Besides the live stages (full pipeline, text index, naive and star path
-// indexes) the package carries naive-maps: a frozen copy of the map-based
-// per-source traversal the path indexes used before the pooled, epoch-stamped
-// scratch buffers replaced it. Benchmarking the frozen baseline next to the
-// live code keeps the rewrite's win measurable release after release instead
-// of being a one-off claim in a PR description, and it is the axis of the
-// benchmark trajectory that does not need a multi-core machine to show up.
+// worker count × pipeline stage — stays one definition. The stages are the
+// full pipeline, the text index, and the naive and star path indexes; every
+// one honors the worker count. The per-source traversal they share is gated
+// allocation-free by internal/pathindex's own tests.
 package buildbench
 
 import (
@@ -143,11 +138,8 @@ func (w *Workload) BuildPipeline(ctx context.Context, b *cirank.Builder, workers
 type Stage struct {
 	// Name keys the stage in benchmark output and BENCH_build.json.
 	Name string
-	// Parallel reports whether Run honors the worker count; the frozen
-	// naive-maps baseline is inherently sequential.
-	Parallel bool
-	// Quadratic marks O(|V|²)-space stages (the naive index variants), which
-	// the grids gate to the smaller scales.
+	// Quadratic marks O(|V|²)-space stages (the naive index), which the
+	// grids gate to the smaller scales.
 	Quadratic bool
 	// Run executes the stage once. Implementations discard the built
 	// artifact; the benchmark harness keeps a liveness sink.
@@ -159,24 +151,20 @@ type Stage struct {
 // drivers handle it separately via NewBuilder + BuildPipeline.
 func Stages() []Stage {
 	return []Stage{
-		{Name: "text", Parallel: true, Run: func(ctx context.Context, w *Workload, workers int) error {
+		{Name: "text", Run: func(ctx context.Context, w *Workload, workers int) error {
 			ix, err := textindex.BuildContext(ctx, w.G, workers)
 			sinkAny(ix)
 			return err
 		}},
-		{Name: "star", Parallel: true, Run: func(ctx context.Context, w *Workload, workers int) error {
+		{Name: "star", Run: func(ctx context.Context, w *Workload, workers int) error {
 			ix, err := pathindex.BuildStarContext(ctx, w.G, w.Damp, w.IsStar, w.MaxDepth, workers)
 			sinkAny(ix)
 			return err
 		}},
-		{Name: "naive", Parallel: true, Quadratic: true, Run: func(ctx context.Context, w *Workload, workers int) error {
+		{Name: "naive", Quadratic: true, Run: func(ctx context.Context, w *Workload, workers int) error {
 			ix, err := pathindex.BuildNaiveContext(ctx, w.G, w.Damp, w.MaxDepth, workers)
 			sinkAny(ix)
 			return err
-		}},
-		{Name: "naive-maps", Quadratic: true, Run: func(_ context.Context, w *Workload, _ int) error {
-			sinkAny(buildNaiveMaps(w.G, w.Damp, w.MaxDepth))
-			return nil
 		}},
 	}
 }

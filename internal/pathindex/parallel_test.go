@@ -189,6 +189,26 @@ func TestScratchEpochWrap(t *testing.T) {
 	}
 }
 
+// TestBoundedStatsAllocFree gates the pooled traversal absolutely: once a
+// scratch has grown to fit the graph, a pass of boundedStatsInto from every
+// source allocates nothing. A reintroduced per-source or per-layer map or
+// slice shows up here as allocations per pass.
+func TestBoundedStatsAllocFree(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		g, _, damp, maxDepth := randomCase(seed)
+		s := newBFSScratch(g.NumNodes())
+		pass := func() {
+			for v := 0; v < g.NumNodes(); v++ {
+				boundedStatsInto(s, g, graph.NodeID(v), maxDepth, damp)
+			}
+		}
+		pass() // grow the frontier and touched slices to their steady size
+		if got := testing.AllocsPerRun(20, pass); got != 0 {
+			t.Errorf("seed %d: %.1f allocations per all-sources pass, want 0", seed, got)
+		}
+	}
+}
+
 func TestBuildCancellation(t *testing.T) {
 	g, isStar, damp, _ := randomCase(5)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,12 +6,13 @@ import (
 )
 
 // These tests pin the allocation behaviour of the pooled branch-and-bound
-// hot path. The ceilings are deliberately loose (about 1.5× the measured
-// steady state) so they survive compiler churn while still catching a
-// reintroduced per-candidate or per-expansion allocation, which multiplies
-// the count by orders of magnitude — the frozen pre-rewrite engine spends
-// over a thousand allocations on the same fig2 query (see
-// internal/searchbench for the tracked comparison).
+// hot path with absolute ceilings: 1.25× the measured steady state, enough
+// headroom for compiler churn while a reintroduced per-candidate or
+// per-expansion allocation (which multiplies the count by orders of
+// magnitude — the engine before the pooled-scratch rewrite spent over a
+// thousand allocations on this fig2 query) fails at once. They skip under
+// the race detector, whose instrumentation allocates; CI runs them in a
+// plain build on every Go version of the test matrix.
 
 // warmPool runs the query a few times so the searcher's scratch pool holds a
 // fully grown scratch and AllocsPerRun measures the steady state.
@@ -35,7 +36,7 @@ func TestTopKAllocsSequential(t *testing.T) {
 	// Steady state measured at 32 allocs/query: the per-query bookkeeping
 	// (bbState, closures, term-distance headers), the dedup-key strings of
 	// newly generated candidates, and the detached answer clones.
-	const ceiling = 48
+	const ceiling = 40
 	if got := testing.AllocsPerRun(100, func() { fx.s.TopK(terms, opts) }); got > ceiling {
 		t.Errorf("sequential TopK allocates %.0f/query, ceiling %d", got, ceiling)
 	}
@@ -51,7 +52,7 @@ func TestTopKAllocsParallel(t *testing.T) {
 	warmPool(t, fx.s, terms, opts)
 	// The parallel path additionally pays goroutine spawns per fan-out
 	// (measured at 64 allocs/query with four workers).
-	const ceiling = 96
+	const ceiling = 80
 	if got := testing.AllocsPerRun(100, func() { fx.s.TopK(terms, opts) }); got > ceiling {
 		t.Errorf("parallel TopK allocates %.0f/query, ceiling %d", got, ceiling)
 	}

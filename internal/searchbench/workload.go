@@ -1,18 +1,10 @@
 // Package searchbench prepares query workloads for the online-search
-// benchmarks and preserves the frozen pre-rewrite search engine they are
-// measured against. The root package's BenchmarkSearch and the
-// cmd/cirank-bench JSON emitter (-mode search) share this code, so `go test
-// -bench` and the tracked BENCH_search.json measure the same thing: a
-// generated dataset, a skewed AOL-style query stream over it, and the live
-// branch-and-bound engine next to the naive-alloc baseline.
-//
-// The frozen baseline (NaiveAllocTopK, over map-backed trees) is the online
-// counterpart of internal/buildbench's naive-maps: a wholesale copy of the
-// engine as it was before the pooled-scratch rewrite, kept so the rewrite's
-// allocation and latency win stays measurable release after release. Its
-// rankings are byte-identical to the live engine's, which
-// TestNaiveAllocMatchesLiveEngine certifies — same answers, different
-// allocators.
+// benchmarks. The root package's BenchmarkSearch and the cmd/cirank-bench
+// JSON emitter (-mode search) share this code, so `go test -bench` and the
+// tracked BENCH_search.json measure the same thing: a generated dataset, a
+// skewed AOL-style query stream over it, and the live branch-and-bound
+// engine. StreamPlan exposes the same stream sizing to the serving
+// benchmarks without building a scoring model.
 //
 // # BENCH_search.json
 //
@@ -22,10 +14,9 @@
 // query_seed, and a human-oriented note) plus one results entry per grid
 // cell with these fields:
 //
-//   - stage: "search" for the live engine, "naive-alloc" for the frozen
-//     pre-rewrite baseline (always sequential).
+//   - stage: "search", the live engine.
 //   - scale: dataset scale multiplier; nodes, edges: resulting graph size.
-//   - workers: Options.Workers for the cell (1 on naive-alloc cells).
+//   - workers: Options.Workers for the cell.
 //   - k: Options.K, the requested answer count.
 //   - n: number of measured query executions (passes × stream length).
 //   - ns_per_op: mean wall-clock nanoseconds per query.
@@ -34,11 +25,12 @@
 //   - queries_per_sec: measured throughput of the whole stream.
 //   - allocs_per_query: mean heap allocations per query (exact, from the
 //     runtime's allocation counter).
-//   - speedup_vs_w1: this stage's workers=1 mean latency over this cell's
-//     (1 on the workers=1 cells; needs a multi-core machine to exceed 1).
-//   - speedup_vs_naive_alloc: the frozen baseline's mean latency at the
-//     same scale and k over this cell's — the allocation-lean rewrite's
-//     headline axis, visible on any machine.
+//   - speedup_vs_w1: the workers=1 mean latency at the same scale and k
+//     over this cell's (1 on the workers=1 cells; needs a multi-core
+//     machine to exceed 1).
+//
+// The allocation profile of the hot path is gated absolutely, not against a
+// baseline engine: internal/search's AllocsPerRun ceilings.
 package searchbench
 
 import (

@@ -31,17 +31,11 @@ type Arm struct {
 	// Clients is the closed-loop concurrency: each client issues its next
 	// query the moment the previous one answers.
 	Clients int
-	// TargetQPS switches to open-loop: requests start at this rate
-	// regardless of completions (Clients then only sizes the transport).
-	TargetQPS float64
 	// Duration is the measured window.
 	Duration time.Duration
 	// ReloadEvery, when positive, hot-reloads the snapshot at this period
 	// during the measured window.
 	ReloadEvery time.Duration
-	// Timeout is the per-query timeout parameter sent to the server
-	// (zero = the server default).
-	Timeout time.Duration
 	// Tenants, when above 1, serves the snapshot as that many named tenants
 	// ("t0" … "tN-1") in one server — each with its own engine, result
 	// cache, flight group and fair admission share — and round-robins the
@@ -176,10 +170,6 @@ func (f *Fixture) Run(arm Arm) (Result, error) {
 		MaxIdleConnsPerHost: 4 * arm.Clients,
 	}}
 
-	suffix := ""
-	if arm.Timeout > 0 {
-		suffix = fmt.Sprintf("&timeout=%s", arm.Timeout)
-	}
 	// tenantOf spreads the stream across the tenants by request index; the
 	// suffix routes the request to its tenant's corpus.
 	tenantOf := func(i int) int { return i % nT }
@@ -191,7 +181,7 @@ func (f *Fixture) Run(arm Arm) (Result, error) {
 	}
 	get := func(i int) (probeResponse, int, error) {
 		var probe probeResponse
-		resp, err := client.Get(ts.URL + f.Path(i) + suffix + tenantSuffix[tenantOf(i)])
+		resp, err := client.Get(ts.URL + f.Path(i) + tenantSuffix[tenantOf(i)])
 		if err != nil {
 			return probe, 0, err
 		}
@@ -320,49 +310,20 @@ func (f *Fixture) Run(arm Arm) (Result, error) {
 		}
 	}
 
+	// Closed loop: each client keeps exactly one request in flight.
 	start := time.Now()
-	tallies := make([]*tally, 0, arm.Clients)
+	tallies := make([]*tally, arm.Clients)
 	var wg sync.WaitGroup
-	if arm.TargetQPS > 0 {
-		// Open loop: requests start on schedule whether or not earlier
-		// ones finished — queueing shows up as latency, like production.
-		interval := time.Duration(float64(time.Second) / arm.TargetQPS)
-		if interval <= 0 {
-			return res, fmt.Errorf("servebench: arm %s: TargetQPS %g too high", arm.Stage, arm.TargetQPS)
-		}
-		var mu sync.Mutex
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-	open:
-		for {
-			select {
-			case <-ctx.Done():
-				break open
-			case <-tick.C:
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					var tl tally
-					work(&tl, i)
-					mu.Lock()
-					tallies = append(tallies, &tl)
-					mu.Unlock()
-				}(int(next.Add(1) - 1))
+	for c := range tallies {
+		tl := &tally{}
+		tallies[c] = tl
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				work(tl, int(next.Add(1)-1))
 			}
-		}
-	} else {
-		// Closed loop: each client keeps exactly one request in flight.
-		for c := 0; c < arm.Clients; c++ {
-			tl := &tally{}
-			tallies = append(tallies, tl)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					work(tl, int(next.Add(1)-1))
-				}
-			}()
-		}
+		}()
 	}
 	wg.Wait()
 	cancel()

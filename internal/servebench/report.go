@@ -18,7 +18,7 @@ const Schema = "cirank/bench-serve/v1"
 // workers, k).
 type Cell struct {
 	// Stage names the measured arm ("serve-nocache", "serve-cached",
-	// "serve-reload", or a custom arm's name).
+	// "serve-reload" or "serve-tenants").
 	Stage string `json:"stage"`
 	// Scale is the dataset scale multiplier; Nodes and Edges the resulting
 	// graph size.
@@ -70,8 +70,6 @@ type Cell struct {
 	// FailedOther counts failed requests on tenants other than the
 	// reloaded one; like StaleOther it must stay zero.
 	FailedOther int64 `json:"failed_other,omitempty"`
-	// TargetQPS is set on open-loop cells: the configured arrival rate.
-	TargetQPS float64 `json:"target_qps,omitempty"`
 	// SpeedupVsNoCache is this cell's queries_per_sec over the
 	// serve-nocache arm's at the same scale, workers and k.
 	SpeedupVsNoCache float64 `json:"speedup_vs_nocache,omitempty"`
@@ -153,22 +151,21 @@ func TrackedArms(clients int, duration time.Duration) []Arm {
 // Cell converts one arm's result to its report entry.
 func (f *Fixture) Cell(arm Arm, k int, res Result) Cell {
 	c := Cell{
-		Stage:     arm.Stage,
-		Scale:     f.Scale,
-		Nodes:     f.Nodes,
-		Edges:     f.Edges,
-		Workers:   arm.Clients,
-		K:         k,
-		N:         int(res.Requests),
-		NsPerOp:   res.MeanNs,
-		P50Ns:     res.P50Ns,
-		P99Ns:     res.P99Ns,
-		QPS:       round2(res.QPS),
-		Rejected:  res.Rejected,
-		Failed:    res.Failed,
-		Stale:     res.Stale,
-		Reloads:   res.Reloads,
-		TargetQPS: arm.TargetQPS,
+		Stage:    arm.Stage,
+		Scale:    f.Scale,
+		Nodes:    f.Nodes,
+		Edges:    f.Edges,
+		Workers:  arm.Clients,
+		K:        k,
+		N:        int(res.Requests),
+		NsPerOp:  res.MeanNs,
+		P50Ns:    res.P50Ns,
+		P99Ns:    res.P99Ns,
+		QPS:      round2(res.QPS),
+		Rejected: res.Rejected,
+		Failed:   res.Failed,
+		Stale:    res.Stale,
+		Reloads:  res.Reloads,
 	}
 	if arm.Tenants > 1 {
 		c.Tenants = arm.Tenants

@@ -1,18 +1,17 @@
-// Package servebench is the load harness behind cmd/cirank-loadgen and
-// cirank-bench -mode serve: it drives the HTTP serving stack
-// (internal/server) with the same Zipf-skewed AOL-style query stream the
-// engine benchmarks replay (internal/searchbench), and measures what the
-// serving layer — singleflight coalescing, the generation-keyed result
-// cache, cost-based admission — adds on top of raw engine throughput.
+// Package servebench is the load harness behind cirank-bench -mode serve:
+// it drives the HTTP serving stack (internal/server) with the same
+// Zipf-skewed AOL-style query stream the engine benchmarks replay
+// (internal/searchbench), and measures what the serving layer —
+// singleflight coalescing, the generation-keyed result cache, cost-based
+// admission — adds on top of raw engine throughput.
 //
 // A Fixture is built once per dataset × scale: the dataset is generated,
 // replayed through the public builder (the same path cmd/cirank-server
 // takes), snapshotted, and every benchmark arm re-opens the snapshot
 // zero-copy so arms never share mutable engine state. An Arm is one
 // measured server configuration — cache off, cache warm, reloads landing
-// mid-load — driven closed-loop (a fixed client count, each issuing the
-// next query as soon as the last answers) or open-loop (a target arrival
-// rate, latencies measured under overload realism).
+// mid-load, several tenants — driven closed-loop: a fixed client count,
+// each issuing the next query as soon as the last answers.
 //
 // Every request is timed individually and checked for staleness: the
 // harness tracks the highest generation whose reload has completed, and a
@@ -31,7 +30,8 @@
 //
 //   - stage: the arm — "serve-nocache" (result cache and coalescing off;
 //     the baseline), "serve-cached" (full serving stack, cache warmed),
-//     "serve-reload" (full stack with hot reloads landing during load).
+//     "serve-reload" (full stack with hot reloads landing during load),
+//     "serve-tenants" (three named tenants, reloads hitting only t0).
 //   - n: completed requests; ns_per_op / p50_ns / p99_ns: per-request
 //     wall-clock latency through HTTP; queries_per_sec: sustained
 //     throughput over the measured window.

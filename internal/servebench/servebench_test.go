@@ -144,9 +144,6 @@ func TestReportShape(t *testing.T) {
 			t.Errorf("cell JSON missing %q", key)
 		}
 	}
-	if _, ok := c0["target_qps"]; ok {
-		t.Error("closed-loop cell should omit target_qps")
-	}
 }
 
 func TestTrackedArms(t *testing.T) {
