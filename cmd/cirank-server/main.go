@@ -11,11 +11,10 @@
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/metrics
 //
-// The versioned /v1 API (docs/api.md) is the contract; the original
-// unversioned paths still answer, marked with a Deprecation header. The
-// serving stack — singleflight coalescing, the generation-keyed result
-// cache, cost-based admission — is tunable with -coalesce, -result-cache,
-// -admission-budget and -max-batch.
+// The versioned /v1 API (docs/api.md) is the contract and the only HTTP
+// surface; unversioned paths answer 404. The serving stack — singleflight
+// coalescing, the generation-keyed result cache, cost-based admission — is
+// tunable with -coalesce, -result-cache, -admission-budget and -max-batch.
 //
 // Snapshot workflow — build once offline, serve with instant startup, and
 // hot-reload in place after writing a fresh snapshot to the same path:
@@ -82,7 +81,7 @@ func main() {
 		inflight = flag.Int("inflight", 0, "max concurrent queries (0 = 2x GOMAXPROCS)")
 		maxExp   = flag.Int("maxexpansions", 200000, "branch-and-bound expansion cap per query (-1 = unlimited)")
 		workers  = flag.Int("workers", 0, "engine worker goroutines per query (0 = GOMAXPROCS)")
-		snapshot = flag.String("snapshot", "", "serve from this snapshot file (mmap-opened; enables POST /admin/reload) instead of generating a dataset")
+		snapshot = flag.String("snapshot", "", "serve from this snapshot file (mmap-opened; enables POST /v1/admin/reload) instead of generating a dataset")
 		tenants  = flag.String("tenants", "", "serve several named tenants from this JSON config (see the package docs; mutually exclusive with -snapshot and -shards)")
 		saveSnap = flag.String("save-snapshot", "", "build the dataset engine, write a snapshot to this file, and exit")
 		shards   = flag.Int("shards", 1, "partition the engine into this many shards behind the scatter-gather coordinator (1 = single engine)")

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -117,21 +116,19 @@ func trueRetentions(g *graph.Graph, damp []float64) [][]float64 {
 	return all
 }
 
-// checkIndexes certifies both path indexes (and the serialization roundtrip
-// of the star index) against brute-force truth: DistanceLB never exceeds the
+// checkIndexes certifies both path indexes (and the snapshot roundtrip of
+// the star index) against brute-force truth: DistanceLB never exceeds the
 // true hop distance, RetentionUB never falls below the true best retention,
-// and the roundtripped index answers exactly like the original.
+// and the roundtripped index answers exactly like the original. The
+// roundtrip is the one the snapshot decoder performs: the index's flat
+// tables (Parts) reassembled and revalidated by FromParts.
 func checkIndexes(w *Workload) error {
 	dist := trueDistances(w.Graph)
 	ret := trueRetentions(w.Graph, w.Damp)
 
-	var buf bytes.Buffer
-	if _, err := w.StarIdx.WriteTo(&buf); err != nil {
-		return fmt.Errorf("star index WriteTo: %w", err)
-	}
-	reread, err := pathindex.ReadStar(&buf, w.Graph)
+	reread, err := pathindex.FromParts(w.Graph, w.Damp, w.StarIdx.Parts())
 	if err != nil {
-		return fmt.Errorf("star index ReadStar roundtrip: %w", err)
+		return fmt.Errorf("star index Parts/FromParts roundtrip: %w", err)
 	}
 
 	indexes := []struct {
@@ -175,16 +172,20 @@ func checkIndexes(w *Workload) error {
 	return checkGraphRoundtrip(w)
 }
 
-// checkGraphRoundtrip serializes the graph, reads it back, and verifies the
-// reloaded graph is structurally identical (nodes, text, edges, weights).
+// checkGraphRoundtrip takes the graph through the snapshot codec's pieces —
+// its CSR arrays, the edge array encoded to wire bytes and decoded back as a
+// copy, reassembled and revalidated by FromCSR — and verifies the reloaded
+// graph is structurally identical (nodes, text, edges, weights).
 func checkGraphRoundtrip(w *Workload) error {
-	var buf bytes.Buffer
-	if _, err := w.Graph.WriteTo(&buf); err != nil {
-		return fmt.Errorf("graph WriteTo: %w", err)
+	nodes := make([]graph.Node, w.Graph.NumNodes())
+	for v := range nodes {
+		nodes[v] = *w.Graph.Node(graph.NodeID(v))
 	}
-	g2, err := graph.Read(&buf)
+	offsets, edges, outSum := w.Graph.CSR()
+	wire := graph.EdgesFromBytes(graph.AppendEdges(nil, edges), false)
+	g2, err := graph.FromCSR(nodes, offsets, wire, outSum)
 	if err != nil {
-		return fmt.Errorf("graph Read roundtrip: %w", err)
+		return fmt.Errorf("graph CSR roundtrip: %w", err)
 	}
 	if g2.NumNodes() != w.Graph.NumNodes() {
 		return fmt.Errorf("graph roundtrip: %d nodes became %d", w.Graph.NumNodes(), g2.NumNodes())
@@ -192,7 +193,7 @@ func checkGraphRoundtrip(w *Workload) error {
 	for v := 0; v < w.Graph.NumNodes(); v++ {
 		id := graph.NodeID(v)
 		a, b := w.Graph.Node(id), g2.Node(id)
-		if a.Relation != b.Relation || a.Key != b.Key || a.Text != b.Text {
+		if *a != *b {
 			return fmt.Errorf("graph roundtrip: node %d records differ: %+v vs %+v", v, a, b)
 		}
 		ea, eb := w.Graph.OutEdges(id), g2.OutEdges(id)

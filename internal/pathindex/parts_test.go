@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"cirank/internal/graph"
 )
@@ -40,6 +41,44 @@ func TestPartsRoundTrip(t *testing.T) {
 				t.Fatalf("RetentionUB(%d, %d) differs after reassembly", u, v)
 			}
 		}
+	}
+}
+
+// TestStarIndexRoundTrip is the property form of TestPartsRoundTrip: on
+// random bipartite graphs, an index reassembled by FromParts from copies of
+// its own tables answers every lookup exactly like the original.
+func TestStarIndexRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, isStar := randomBipartite(rng, 2+rng.Intn(3), 3+rng.Intn(5), 10+rng.Intn(10))
+		damp := randomDamp(rng, g.NumNodes())
+		ix, err := BuildStar(g, damp, isStar, 4)
+		if err != nil {
+			return false
+		}
+		p := ix.Parts()
+		p.IsStar = append([]bool(nil), p.IsStar...)
+		p.StarIdx = append([]int32(nil), p.StarIdx...)
+		p.Dist = append([]uint8(nil), p.Dist...)
+		p.Ret = append([]float64(nil), p.Ret...)
+		loaded, err := FromParts(g, append([]float64(nil), damp...), p)
+		if err != nil {
+			t.Logf("FromParts: %v", err)
+			return false
+		}
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				a, b := graph.NodeID(u), graph.NodeID(v)
+				if ix.DistanceLB(a, b) != loaded.DistanceLB(a, b) ||
+					ix.RetentionUB(a, b) != loaded.RetentionUB(a, b) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
 	}
 }
 

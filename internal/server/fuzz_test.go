@@ -30,7 +30,7 @@ func FuzzServerSearchParams(f *testing.F) {
 	f.Add("q=%zz%00;&&k=1e9&timeout=2fortnights")
 	f.Add("q=a;q=b&k=2;k=3")
 	f.Fuzz(func(t *testing.T, raw string) {
-		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: raw}}
+		r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/search", RawQuery: raw}}
 		p, errMsg := s.parseSearchParams(r)
 		if errMsg == "" {
 			if len(p.terms) == 0 {
@@ -73,7 +73,7 @@ func TestFuzzSeedTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/search", RawQuery: "q=a&timeout=300h"}}
+	r := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/search", RawQuery: "q=a&timeout=300h"}}
 	p, errMsg := s.parseSearchParams(r)
 	if errMsg != "" {
 		t.Fatalf("unexpected reject: %s", errMsg)

@@ -101,7 +101,7 @@ type tenantScrape struct {
 	shardLeases []int64
 }
 
-// scrape assembles the view for one /metrics exposition.
+// scrape assembles the view for one /v1/metrics exposition.
 func (s *Server) scrape() scrapeView {
 	v := scrapeView{generation: s.generation()}
 	for _, t := range s.reg.all() {

@@ -94,8 +94,8 @@ func queryKey(gens []uint64, p searchParams) string {
 	return b.String()
 }
 
-// resolveAndRun is the single request path shared by every search handler,
-// legacy and /v1 alike: it resolves the query's tenant (the one owner of
+// resolveAndRun is the single request path shared by the single-query and
+// batch search handlers: it resolves the query's tenant (the one owner of
 // tenant resolution), takes the query through the tenant's serving stack,
 // and keeps the global and per-tenant outcome counters. Handlers only
 // differ in how they render the returned outcome or error.

@@ -9,18 +9,14 @@
 //
 // The HTTP surface is versioned. /v1/ is the stable, documented API
 // (docs/api.md) with a uniform JSON envelope carrying schema, generation,
-// results, stats and structured errors:
+// results, stats and structured errors, and it is the only surface; any
+// other path answers 404:
 //
 //	GET  /v1/search?q=<keywords>&k=5&diameter=4&timeout=2s&workers=0
 //	POST /v1/search              {"queries": [{"q": ...}, ...]}  (batched)
 //	GET  /v1/healthz
 //	GET  /v1/metrics
 //	POST /v1/admin/reload        (only with Config.SnapshotPath set)
-//
-// The original unversioned paths (/search, /healthz, /metrics,
-// /admin/reload) keep serving their pre-v1 response bodies as deprecated
-// aliases; every legacy response carries a "Deprecation: true" header and a
-// Link to its successor.
 //
 // Every query runs under a deadline from its timeout parameter
 // (default/cap from Config), so a runaway branch-and-bound query stops at
@@ -30,7 +26,7 @@
 // The server never touches a bare engine: requests borrow the current one
 // from a Provider for exactly their own duration, and every result —
 // cached, coalesced or fresh — is keyed by the borrowed generation.
-// /admin/reload re-opens the configured snapshot, validates it, atomically
+// /v1/admin/reload re-opens the configured snapshot, validates it, atomically
 // swaps it in and discards the result cache; queries already running
 // continue against the engine they started with, a result computed against
 // generation g can only ever reach a request that leased generation g, and
@@ -48,7 +44,7 @@
 // named engine (or shard set) per tenant, each behind its own providers,
 // result cache, singleflight group and admission slice (registry.go). The
 // tenant request parameter selects the corpus (defaulting to the sole
-// tenant), /v1/healthz reports a block per tenant, /metrics labels the
+// tenant), /v1/healthz reports a block per tenant, /v1/metrics labels the
 // per-tenant series, and the global admission budget is split by a
 // weighted-fair policy so one tenant's heavy queries cannot starve another.
 // Tenants hot-reload independently (/v1/admin/reload?tenant=<name>) and can
@@ -111,12 +107,12 @@ type Config struct {
 	// shorthand: configuring them is equivalent to one Tenants entry named
 	// DefaultTenantName.
 	Tenants []TenantConfig
-	// SnapshotPath, when non-empty, enables POST /v1/admin/reload (and its
-	// legacy alias): the handler opens this snapshot file with cirank.Open
-	// and hot-swaps the resulting engine in, discarding the result cache.
-	// Empty leaves the endpoints unregistered (404). On a sharded server it
-	// is the shard-set base path (see cirank.SaveShardSet): a reload opens
-	// every per-shard file, or just one when the request selects ?shard=i.
+	// SnapshotPath, when non-empty, enables POST /v1/admin/reload: the
+	// handler opens this snapshot file with cirank.Open and hot-swaps the
+	// resulting engine in, discarding the result cache. Empty leaves the
+	// endpoint unregistered (404). On a sharded server it is the shard-set
+	// base path (see cirank.SaveShardSet): a reload opens every per-shard
+	// file, or just one when the request selects ?shard=i.
 	SnapshotPath string
 	// ReloadDrainTimeout bounds how long a reload waits for queries
 	// borrowed from the replaced engine to finish before answering (default
@@ -304,12 +300,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/search", s.handleV1Search)
 	s.mux.HandleFunc("/v1/healthz", s.handleV1Healthz)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetricsExposition)
-	s.mux.HandleFunc("/search", s.handleLegacySearch)
-	s.mux.HandleFunc("/healthz", s.handleLegacyHealthz)
-	s.mux.HandleFunc("/metrics", s.handleLegacyMetrics)
 	if reloadConfigured {
 		s.mux.HandleFunc("/v1/admin/reload", s.handleV1Reload)
-		s.mux.HandleFunc("/admin/reload", s.handleLegacyReload)
 	}
 	return s, nil
 }
@@ -377,151 +369,6 @@ type Answer struct {
 	Edges [][2]int `json:"edges"`
 }
 
-// Stats is the per-query work report of the legacy /search response; the
-// /v1 envelope uses V1Stats, which extends it with the serving source.
-type Stats struct {
-	// Expanded counts candidate trees expanded by branch-and-bound.
-	Expanded int `json:"expanded"`
-	// Generated counts candidate trees generated.
-	Generated int `json:"generated"`
-	// Answers counts complete answers found (not just the k returned).
-	Answers int `json:"answers"`
-	// Truncated reports an early stop by the expansion cap; the results
-	// are the best found so far.
-	Truncated bool `json:"truncated"`
-	// Interrupted reports an early stop by the request deadline or client
-	// disconnect; the results are the best found so far.
-	Interrupted bool `json:"interrupted"`
-	// ElapsedMS is the query's wall-clock engine time in milliseconds.
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// SearchResponse is the legacy /search response body, frozen pre-v1.
-type SearchResponse struct {
-	// Query is the raw q parameter.
-	Query string `json:"query"`
-	// Terms is the query's tokenization, as the engine searched it.
-	Terms []string `json:"terms"`
-	// K is the effective answer-count limit.
-	K int `json:"k"`
-	// Results are the ranked answers, best first.
-	Results []Answer `json:"results"`
-	// Stats reports the work the query did.
-	Stats Stats `json:"stats"`
-}
-
-// ErrorResponse is the JSON body of every non-200 legacy response.
-type ErrorResponse struct {
-	// Error is a human-readable description of the failure.
-	Error string `json:"error"`
-}
-
-// HealthResponse is the legacy /healthz response body.
-type HealthResponse struct {
-	// Status is "ok" while an engine is being served, "closed" after
-	// Server.Close retired it.
-	Status string `json:"status"`
-	// Nodes is the engine data graph's node count.
-	Nodes int `json:"nodes"`
-	// Edges is the engine data graph's directed edge count.
-	Edges int `json:"edges"`
-	// Generation counts engine swaps: 1 for the initial engine,
-	// incremented by every successful reload.
-	Generation uint64 `json:"generation"`
-	// Source is how the current engine's data arrived: "build", "stream"
-	// or "mmap" (see cirank.BuildStats.Source).
-	Source string `json:"source"`
-}
-
-// ReloadResponse is the legacy /admin/reload response body.
-type ReloadResponse struct {
-	// Status is "ok" on a successful swap.
-	Status string `json:"status"`
-	// Generation is the new engine's generation number.
-	Generation uint64 `json:"generation"`
-	// Nodes is the new engine's node count.
-	Nodes int `json:"nodes"`
-	// Edges is the new engine's directed edge count.
-	Edges int `json:"edges"`
-	// Source is how the new engine's data arrived ("mmap" for v2
-	// snapshots, "stream" for legacy v1 files).
-	Source string `json:"source"`
-	// Drained reports whether every query started against the previous
-	// engine finished (and the previous engine was closed) within the
-	// drain timeout. false does not indicate a failure: the swap already
-	// happened and stragglers keep running safely against the old engine.
-	Drained bool `json:"drained"`
-}
-
-// deprecate stamps a legacy-path response with its deprecation headers: the
-// unversioned endpoints keep working, but clients are pointed at /v1.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-// handleLegacySearch serves the pre-v1 /search wire format over the same
-// serving stack as /v1/search (tenant resolution, coalescing, result cache
-// and cost admission included), marked deprecated. The frozen body shape
-// has no tenant field; the tenant request parameter still selects the
-// corpus through the shared resolveAndRun path.
-func (s *Server) handleLegacySearch(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/search")
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
-		return
-	}
-	params, errMsg := s.parseSearchParams(r)
-	if errMsg != "" {
-		s.m.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: errMsg})
-		return
-	}
-	_, out, _, apiErr := s.resolveAndRun(r.Context(), params)
-	if apiErr != nil {
-		if apiErr.retryAfterSecs > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(apiErr.retryAfterSecs))
-		}
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, searchResponse(params, out.res))
-}
-
-// handleLegacyHealthz answers the pre-v1 liveness probe, marked deprecated.
-// The frozen body shape reports one corpus view: the tenant selected by the
-// tenant parameter, the sole tenant when absent, or — on a multi-tenant
-// server with no selector — the whole process (node/edge totals summed
-// across tenants, the server-wide composite generation, the first tenant's
-// source).
-func (s *Server) handleLegacyHealthz(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/healthz")
-	tenants, apiErr := s.healthTargets(r)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	resp := HealthResponse{Status: "ok", Generation: s.generation()}
-	for _, t := range tenants {
-		ql, apiErr := t.acquire()
-		if apiErr != nil {
-			writeJSON(w, apiErr.status, HealthResponse{Status: "closed"})
-			return
-		}
-		resp.Nodes += ql.engine.NumNodes()
-		resp.Edges += ql.engine.NumEdges()
-		if resp.Source == "" {
-			resp.Source = ql.leases[0].Engine().BuildStats().Source
-		}
-		if len(tenants) == 1 {
-			resp.Generation = compositeGeneration(ql.generations())
-		}
-		ql.Release()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // healthTargets resolves which tenants a healthz probe reports: the one the
 // tenant parameter names, the sole tenant when absent, or every tenant on a
 // multi-tenant server with no selector.
@@ -535,40 +382,6 @@ func (s *Server) healthTargets(r *http.Request) ([]*tenant, *apiError) {
 		return nil, apiErr
 	}
 	return []*tenant{t}, nil
-}
-
-// handleLegacyMetrics serves the Prometheus exposition on the deprecated
-// unversioned path; the body is identical to /v1/metrics.
-func (s *Server) handleLegacyMetrics(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/metrics")
-	s.handleMetricsExposition(w, r)
-}
-
-// handleLegacyReload serves the pre-v1 /admin/reload wire format, marked
-// deprecated.
-func (s *Server) handleLegacyReload(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, "/v1/admin/reload")
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
-		return
-	}
-	t, apiErr := s.resolveTenant(r.URL.Query().Get("tenant"))
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	shard, apiErr := parseShardParam(r, t)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	rel, apiErr := s.reload(t, shard)
-	if apiErr != nil {
-		writeJSON(w, apiErr.status, ErrorResponse{Error: apiErr.msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, rel)
 }
 
 // recordSuccess updates the global and per-tenant counters for one 200
@@ -660,26 +473,7 @@ func (s *Server) validateParams(get func(string) string) (searchParams, string) 
 	return p, ""
 }
 
-// searchResponse converts an engine result to the legacy wire form.
-func searchResponse(p searchParams, res cirank.SearchResult) SearchResponse {
-	return SearchResponse{
-		Query:   p.query,
-		Terms:   p.terms,
-		K:       p.k,
-		Results: wireAnswers(res),
-		Stats: Stats{
-			Expanded:    res.Stats.Expanded,
-			Generated:   res.Stats.Generated,
-			Answers:     res.Stats.Answers,
-			Truncated:   res.Stats.Truncated,
-			Interrupted: res.Stats.Interrupted,
-			ElapsedMS:   float64(res.Stats.Elapsed.Microseconds()) / 1e3,
-		},
-	}
-}
-
-// wireAnswers converts engine results to their wire form, shared by the
-// legacy and /v1 encoders.
+// wireAnswers converts engine results to their wire form.
 func wireAnswers(res cirank.SearchResult) []Answer {
 	out := make([]Answer, len(res.Results))
 	for i, a := range res.Results {
@@ -701,9 +495,9 @@ func wireAnswers(res cirank.SearchResult) []Answer {
 // the right shard of the right set size — so a corrupt or misplaced file
 // never becomes a serving engine: nothing is swapped unless every selected
 // file opened.
-func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
+func (s *Server) reload(t *tenant, shard int) (V1ReloadResponse, *apiError) {
 	if t.snapshotPath == "" {
-		return ReloadResponse{}, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
+		return V1ReloadResponse{}, &apiError{status: http.StatusBadRequest, code: codeBadRequest,
 			msg: fmt.Sprintf("tenant %q serves no snapshot; reload is not configured for it", t.name)}
 	}
 	s.reloadMu.Lock()
@@ -716,12 +510,12 @@ func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
 		}
 	}
 	engines := make([]*cirank.Engine, 0, len(idxs))
-	fail := func(e *apiError) (ReloadResponse, *apiError) {
+	fail := func(e *apiError) (V1ReloadResponse, *apiError) {
 		for _, eng := range engines {
 			_ = eng.Close()
 		}
 		s.m.reloadsFailed.Add(1)
-		return ReloadResponse{}, e
+		return V1ReloadResponse{}, e
 	}
 	for _, i := range idxs {
 		path := t.snapshotPath
@@ -772,18 +566,24 @@ func (s *Server) reload(t *tenant, shard int) (ReloadResponse, *apiError) {
 		}
 	}
 	s.m.reloadsOK.Add(1)
-	return ReloadResponse{
-		Status:     "ok",
+	resp := V1ReloadResponse{
+		Schema:     APISchema,
 		Generation: gen,
+		Tenant:     t.name,
+		Status:     "ok",
 		Nodes:      nodes,
 		Edges:      edges,
 		Source:     source,
 		Drained:    drained,
-	}, nil
+	}
+	if shard >= 0 {
+		resp.Shard = &shard
+	}
+	return resp, nil
 }
 
-// handleMetricsExposition emits the Prometheus text exposition (served on
-// /v1/metrics and, deprecated, on /metrics).
+// handleMetricsExposition emits the Prometheus text exposition on
+// /v1/metrics.
 func (s *Server) handleMetricsExposition(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.m.writeTo(w, s.scrape())

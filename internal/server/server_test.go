@@ -122,12 +122,12 @@ func getJSON(t *testing.T, url string, wantStatus int, out any) {
 	}
 }
 
-// TestSearchRoundTrip is the ISSUE's integration test: a /search request
+// TestSearchRoundTrip is the HTTP integration test: a /v1/search request
 // returns ranked JSON answers with populated stats.
 func TestSearchRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=papakonstantinou+ullman&k=3", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=papakonstantinou+ullman&k=3", http.StatusOK, &res)
 	if len(res.Terms) != 2 {
 		t.Fatalf("terms = %v", res.Terms)
 	}
@@ -177,35 +177,39 @@ func TestSearchBadRequests(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
 	}{
-		{"missing q", "/search"},
-		{"blank q", "/search?q=%20%20"},
-		{"bad k", "/search?q=ullman&k=zero"},
-		{"zero k", "/search?q=ullman&k=0"},
-		{"k over limit", "/search?q=ullman&k=11"},
-		{"negative diameter", "/search?q=ullman&diameter=-1"},
-		{"diameter over limit", "/search?q=ullman&diameter=7"},
-		{"bad timeout", "/search?q=ullman&timeout=fast"},
-		{"negative workers", "/search?q=ullman&workers=-1"},
+		{"missing q", "/v1/search"},
+		{"blank q", "/v1/search?q=%20%20"},
+		{"bad k", "/v1/search?q=ullman&k=zero"},
+		{"zero k", "/v1/search?q=ullman&k=0"},
+		{"k over limit", "/v1/search?q=ullman&k=11"},
+		{"negative diameter", "/v1/search?q=ullman&diameter=-1"},
+		{"diameter over limit", "/v1/search?q=ullman&diameter=7"},
+		{"bad timeout", "/v1/search?q=ullman&timeout=fast"},
+		{"negative workers", "/v1/search?q=ullman&workers=-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var e ErrorResponse
+			var e V1ErrorResponse
 			getJSON(t, ts.URL+tc.query, http.StatusBadRequest, &e)
-			if e.Error == "" {
-				t.Error("400 with empty error message")
+			if e.Error.Code != codeBadRequest || e.Error.Message == "" {
+				t.Errorf("400 error = %+v, want code %q and a message", e.Error, codeBadRequest)
 			}
 		})
 	}
-	resp, err := http.Post(ts.URL+"/search?q=ullman", "text/plain", nil)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/search?q=ullman", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /search: status %d, want 405", resp.StatusCode)
+		t.Errorf("PUT /v1/search: status %d, want 405", resp.StatusCode)
 	}
 }
 
-// TestAdmissionControl: with the concurrency cap saturated, /search answers
+// TestAdmissionControl: with the concurrency cap saturated, /v1/search answers
 // 429 + Retry-After immediately instead of queueing.
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newTestServer(t, Config{Engine: smallEngine(t), MaxInFlight: 2})
@@ -214,7 +218,7 @@ func TestAdmissionControl(t *testing.T) {
 	if !s.firstTenant().adm.tryAcquire(1) || !s.firstTenant().adm.tryAcquire(1) {
 		t.Fatal("could not occupy the admission slots")
 	}
-	resp, err := http.Get(ts.URL + "/search?q=ullman")
+	resp, err := http.Get(ts.URL + "/v1/search?q=ullman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +231,8 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	// Freeing one slot restores service.
 	s.firstTenant().adm.release(1)
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
 	if len(res.Results) == 0 {
 		t.Error("no results after slot freed")
 	}
@@ -245,7 +249,7 @@ func TestAdmissionCostBudget(t *testing.T) {
 		t.Fatal("idle server rejected an expensive query")
 	}
 	// The budget is now exhausted: any further query is shed.
-	resp, err := http.Get(ts.URL + "/search?q=ullman")
+	resp, err := http.Get(ts.URL + "/v1/search?q=ullman")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +260,12 @@ func TestAdmissionCostBudget(t *testing.T) {
 	s.firstTenant().adm.release(100)
 	// Cache hits bypass admission entirely: warm the cache, re-saturate,
 	// and the same query must still answer 200.
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
 	if !s.firstTenant().adm.tryAcquire(100) {
 		t.Fatal("idle server rejected an expensive query")
 	}
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
 	s.firstTenant().adm.release(100)
 }
 
@@ -271,9 +275,9 @@ func TestAdmissionCostBudget(t *testing.T) {
 func TestSearchTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: denseEngine(t, 40), MaxExpansions: -1})
 	start := time.Now()
-	var res SearchResponse
+	var res V1SearchResponse
 	// 500ms leaves room for the first answers to land under -race.
-	getJSON(t, ts.URL+"/search?q=alpha+beta&k=10&timeout=500ms", http.StatusOK, &res)
+	getJSON(t, ts.URL+"/v1/search?q=alpha+beta&k=10&timeout=500ms", http.StatusOK, &res)
 	elapsed := time.Since(start)
 	if !res.Stats.Interrupted {
 		t.Fatalf("stats %+v: uncapped dense query finished before the 500ms deadline", res.Stats)
@@ -292,7 +296,7 @@ func TestTimeoutClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/search?q=ullman&timeout=1h", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/search?q=ullman&timeout=1h", nil)
 	p, msg := s.parseSearchParams(req)
 	if msg != "" {
 		t.Fatalf("clamped timeout rejected: %s", msg)
@@ -306,8 +310,8 @@ func TestTimeoutClamp(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	eng := smallEngine(t)
 	_, ts := newTestServer(t, Config{Engine: eng})
-	var h HealthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, &h)
+	var h V1HealthResponse
+	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &h)
 	if h.Status != "ok" {
 		t.Errorf("status = %q", h.Status)
 	}
@@ -316,15 +320,15 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestMetrics: after traffic, /metrics exposes the per-outcome counters,
+// TestMetrics: after traffic, /v1/metrics exposes the per-outcome counters,
 // cache stats and the latency histogram in Prometheus text format.
 func TestMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	var res SearchResponse
-	getJSON(t, ts.URL+"/search?q=ullman", http.StatusOK, &res)
-	getJSON(t, ts.URL+"/search?q=", http.StatusBadRequest, nil)
+	var res V1SearchResponse
+	getJSON(t, ts.URL+"/v1/search?q=ullman", http.StatusOK, &res)
+	getJSON(t, ts.URL+"/v1/search?q=", http.StatusBadRequest, nil)
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,29 @@ func TestShardedServerParity(t *testing.T) {
 			t.Errorf("%s: envelope fields diverge: %+v vs %+v", q, got, want)
 		}
 	}
-	// The legacy path serves the same stack.
-	var legacy SearchResponse
-	getJSON(t, sharded.URL+"/search?q=ullman&k=10", http.StatusOK, &legacy)
-	if len(legacy.Results) == 0 {
-		t.Error("legacy path returned no results from the sharded stack")
+	// The batch surface serves the same stack.
+	batch := func(url string) V1BatchResponse {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/search", "application/json",
+			strings.NewReader(`{"queries": [{"q": "ullman", "k": 10}, {"q": "papakonstantinou ullman", "k": 3}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out V1BatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/search: status %d, decode %v", resp.StatusCode, err)
+		}
+		return out
+	}
+	want, got := batch(single.URL), batch(sharded.URL)
+	if len(got.Results) != 2 || len(got.Results[0].Results) == 0 {
+		t.Fatalf("sharded batch = %+v", got)
+	}
+	for i := range want.Results {
+		if !reflect.DeepEqual(got.Results[i].Results, want.Results[i].Results) {
+			t.Errorf("batch entry %d: sharded results diverge from single-engine", i)
+		}
 	}
 }
 
@@ -94,12 +112,6 @@ func TestShardedHealthz(t *testing.T) {
 	getJSON(t, plain.URL+"/v1/healthz", http.StatusOK, &plainHealth)
 	if plainHealth.Shards != nil {
 		t.Errorf("unsharded health grew a shards array: %+v", plainHealth.Shards)
-	}
-	// Legacy body reports the aggregate through the frozen shape.
-	var legacy HealthResponse
-	getJSON(t, ts.URL+"/healthz", http.StatusOK, &legacy)
-	if legacy.Generation != 1 || legacy.Nodes != ref.NumNodes() {
-		t.Errorf("legacy sharded health = %+v", legacy)
 	}
 }
 
@@ -232,7 +244,7 @@ func TestShardedReloadEndpoint(t *testing.T) {
 	// Shard selector validation.
 	postJSON(t, url+"/v1/admin/reload?shard=7", http.StatusBadRequest, nil)
 	_, _, plainURL := snapshotServer(t, smallEngine(t), Config{})
-	resp, err = http.Post(plainURL+"/admin/reload?shard=0", "application/json", nil)
+	resp, err = http.Post(plainURL+"/v1/admin/reload?shard=0", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

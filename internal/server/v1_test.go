@@ -294,39 +294,39 @@ func TestV1Healthz(t *testing.T) {
 	}
 }
 
-// TestLegacyDeprecationHeaders: the unversioned paths keep answering their
-// frozen pre-v1 bodies, now marked deprecated with a successor link; the
-// /v1 paths carry no such marking.
-func TestLegacyDeprecationHeaders(t *testing.T) {
-	_, ts := newTestServer(t, Config{Engine: smallEngine(t)})
-	for path, successor := range map[string]string{
-		"/search?q=ullman": "/v1/search",
-		"/healthz":         "/v1/healthz",
-		"/metrics":         "/v1/metrics",
+// TestLegacyPathsRemoved: /v1 is the only HTTP surface. The unversioned
+// pre-v1 aliases answer 404 — the reload alias too, on a server that has
+// SnapshotPath set and so serves /v1/admin/reload — while the /v1 paths
+// answer without any deprecation marking.
+func TestLegacyPathsRemoved(t *testing.T) {
+	_, _, url := snapshotServer(t, smallEngine(t), Config{})
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/search?q=ullman", http.StatusNotFound},
+		{http.MethodGet, "/healthz", http.StatusNotFound},
+		{http.MethodGet, "/metrics", http.StatusNotFound},
+		{http.MethodPost, "/admin/reload", http.StatusNotFound},
+		{http.MethodGet, "/v1/search?q=ullman", http.StatusOK},
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/metrics", http.StatusOK},
+		{http.MethodPost, "/v1/admin/reload", http.StatusOK},
 	} {
-		resp, err := http.Get(ts.URL + path)
+		req, err := http.NewRequest(tc.method, url+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s: Deprecation header %q, want \"true\"", path, got)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) || !strings.Contains(link, "successor-version") {
-			t.Errorf("GET %s: Link header %q does not point at %s", path, link, successor)
-		}
-	}
-	for _, path := range []string{"/v1/search?q=ullman", "/v1/healthz", "/v1/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: versioned path marked deprecated", path)
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
+			t.Errorf("%s %s: answered deprecation headers", tc.method, tc.path)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cirank/internal/datagen"
@@ -287,27 +288,17 @@ func shardSectionBytes(index, count, radius, lo, hi, totalNodes, totalEdges uint
 	return b
 }
 
-// TestDecodeShardSectionLegacyOwned drives the decoder directly: a snapshot
-// written before locality plans has no shard.owned section, and ownership
-// must be synthesized as the whole [lo, hi) interval.
+// TestDecodeShardSectionLegacyOwned drives the decoder directly: a shard
+// section written before locality plans has no shard.owned section, and it
+// must fail as ErrBadSnapshot (ownership is never synthesized from the
+// [lo, hi) span).
 func TestDecodeShardSectionLegacyOwned(t *testing.T) {
 	secs := map[string][]byte{
 		secShard: shardSectionBytes(1, 2, 3, 10, 14, 20, 40),
 	}
-	m, err := decodeShardSection(secs, 20, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Owned) != 4 {
-		t.Fatalf("synthesized %d owned nodes, want 4", len(m.Owned))
-	}
-	for j, v := range m.Owned {
-		if int(v) != 10+j {
-			t.Fatalf("Owned[%d] = %d, want %d", j, v, 10+j)
-		}
-	}
-	if m.Lo != 10 || m.Hi != 14 {
-		t.Fatalf("span [%d, %d), want [10, 14)", m.Lo, m.Hi)
+	if m, err := decodeShardSection(secs, 20, 30); !errors.Is(err, ErrBadSnapshot) ||
+		!strings.Contains(err.Error(), secShardOwn) {
+		t.Fatalf("missing %s: meta = %+v, err = %v, want ErrBadSnapshot naming the section", secShardOwn, m, err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 
 	"cirank/internal/graph"
 	"cirank/internal/mmapio"
@@ -60,21 +59,15 @@ import (
 // The five star.* sections are present together exactly when the meta flags
 // word has bit 0 set; the shard sections (a shard engine's slice of its
 // partition plan, see ShardEngines) exactly when bit 1 is set; strings are
-// u32-length-prefixed UTF-8. shard.owned is the explicit owned node set of
-// a locality-partitioned shard; ownedLo/ownedHi in the shard section are
-// its span. Snapshots written before ownership travelled explicitly carry
-// only the shard section, and the owned set decodes as the whole interval
-// [ownedLo, ownedHi). The encoding is deterministic: the same engine always
-// serializes to the same bytes.
+// u32-length-prefixed UTF-8. shard.owned is the shard's explicit owned node
+// set, and ownedLo/ownedHi in the shard section are its span. The encoding
+// is deterministic: the same engine always serializes to the same bytes.
 //
-// LoadEngine also still reads the legacy v1 stream format (which rebuilt the
-// text index and tuple lookup on load, losing merged-away role keys); the
-// version word after the magic selects the decoder. Every decode error wraps
-// ErrBadSnapshot.
+// v2 is the only format the decoders read: any other version word after the
+// magic is rejected. Every decode error wraps ErrBadSnapshot.
 
 const (
 	engineMagic     = "CIEN"
-	engineVersionV1 = 1
 	engineVersionV2 = 2
 
 	// snapHeaderSize is the fixed v2 preamble: magic, version, section
@@ -90,8 +83,8 @@ const (
 	// maxSections bounds the section count a decoder will size a table for;
 	// the format defines 16 names, so anything near this is corruption.
 	maxSections = 64
-	// maxSnapshotString bounds one length-prefixed string, matching the
-	// graph serialization's limit.
+	// maxSnapshotString bounds one length-prefixed string (16 MiB), a guard
+	// against corrupt length prefixes.
 	maxSnapshotString = 1 << 24
 
 	metaSectionSize     = 40
@@ -316,138 +309,17 @@ func appendSnapString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// LoadEngine reconstructs an engine from a snapshot written by Save. Both
-// the current v2 sectioned format and the legacy v1 stream format are
-// accepted — the version word after the magic selects the decoder — so
-// snapshots written before the format change keep loading. The returned
-// engine copies everything off the stream (BuildStats.Source reports
-// SourceStream); use Open for the zero-copy path. Corrupt input is rejected
-// with an error wrapping ErrBadSnapshot.
+// LoadEngine reconstructs an engine from a v2 snapshot written by Save,
+// read from a stream. The returned engine copies everything off the stream
+// (BuildStats.Source reports SourceStream); use Open for the zero-copy path.
+// Corrupt input, and input in any other format version, is rejected with an
+// error wrapping ErrBadSnapshot.
 func LoadEngine(r io.Reader) (*Engine, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, badSnap("reading snapshot header: %v", err)
-	}
-	if string(hdr[:4]) != engineMagic {
-		return nil, badSnap("bad snapshot magic %q", hdr[:4])
-	}
-	switch v := binary.LittleEndian.Uint32(hdr[4:]); v {
-	case engineVersionV1:
-		return loadV1(r)
-	case engineVersionV2:
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("cirank: reading snapshot: %w", err)
-		}
-		data := make([]byte, 0, len(hdr)+len(rest))
-		data = append(data, hdr[:]...)
-		data = append(data, rest...)
-		return decodeV2(data, false)
-	default:
-		return nil, badSnap("unsupported snapshot version %d", v)
-	}
-}
-
-// loadV1 decodes the legacy stream format (the 8-byte magic+version preamble
-// is already consumed). v1 snapshots carried neither the text index nor the
-// entity map: the index is rebuilt from the node records and the tuple
-// lookup is derived from them, which loses merged-away role keys — the
-// documented v1 limitation the v2 format exists to fix.
-func loadV1(r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, badSnap("reading v1 header: %v", err)
-	}
-	alpha := math.Float64frombits(binary.LittleEndian.Uint64(hdr[0:]))
-	group := math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
-	g, err := graph.Read(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, badSnap("reading snapshot graph: %v", err)
+		return nil, fmt.Errorf("cirank: reading snapshot: %w", err)
 	}
-	var count [8]byte
-	if _, err := io.ReadFull(br, count[:]); err != nil {
-		return nil, badSnap("reading importance count: %v", err)
-	}
-	n := binary.LittleEndian.Uint64(count[:])
-	if int(n) != g.NumNodes() {
-		return nil, badSnap("snapshot has %d importance values for %d nodes", n, g.NumNodes())
-	}
-	imp := make([]float64, n)
-	buf := make([]byte, 8)
-	for i := range imp {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, badSnap("reading importance: %v", err)
-		}
-		imp[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	hasIdx, err := br.ReadByte()
-	if err != nil {
-		return nil, badSnap("reading index flag: %v", err)
-	}
-	var starIdx *pathindex.StarIndex
-	switch hasIdx {
-	case 0:
-		// no index in the snapshot
-	case 1:
-		starIdx, err = pathindex.ReadStar(br, g)
-		if err != nil {
-			return nil, badSnap("reading star index: %v", err)
-		}
-	default:
-		// Any other value is corruption; treating it as "no index" would
-		// silently drop the remainder of the stream.
-		return nil, badSnap("invalid index flag %d in snapshot", hasIdx)
-	}
-	ix := textindex.Build(g)
-	model, err := rwmp.New(g, ix, imp, rwmp.Params{Alpha: alpha, Group: group})
-	if err != nil {
-		return nil, badSnap("%v", err)
-	}
-	// Derive the tuple mapping from the node records — all v1 carries.
-	// Duplicate (relation, key) pairs keep the last node, matching map
-	// semantics, so a later re-save stays canonical.
-	byKey := make(map[string]graph.NodeID, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		node := g.Node(graph.NodeID(v))
-		byKey[node.Relation+"\x00"+node.Key] = graph.NodeID(v)
-	}
-	entries := make([]relational.MappingEntry, 0, len(byKey))
-	for v := 0; v < g.NumNodes(); v++ {
-		node := g.Node(graph.NodeID(v))
-		if byKey[node.Relation+"\x00"+node.Key] == graph.NodeID(v) {
-			entries = append(entries, relational.MappingEntry{Table: node.Relation, Key: node.Key, Node: graph.NodeID(v)})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Table != entries[j].Table {
-			return entries[i].Table < entries[j].Table
-		}
-		return entries[i].Key < entries[j].Key
-	})
-	return assembleLoaded(g, ix, model, imp, starIdx, entries, byKey), nil
-}
-
-// assembleLoaded builds the engine shell every load path shares. Snapshots
-// predate the parallel knob and carry no Config, so loaded engines get the
-// auto default (Workers 0).
-func assembleLoaded(g *graph.Graph, ix *textindex.Index, model *rwmp.Model, imp []float64,
-	starIdx *pathindex.StarIndex, entries []relational.MappingEntry, byKey map[string]graph.NodeID) *Engine {
-	e := &Engine{
-		g:          g,
-		ix:         ix,
-		model:      model,
-		searcher:   search.New(model),
-		starIdx:    starIdx,
-		imp:        imp,
-		mapEntries: entries,
-		lookup: func(table, key string) (graph.NodeID, bool) {
-			id, ok := byKey[table+"\x00"+key]
-			return id, ok
-		},
-	}
-	e.buildStats.Source = SourceStream
-	return e
+	return decodeV2(data, false)
 }
 
 // decodeV2 decodes a complete v2 snapshot image. With alias true the flat
@@ -609,8 +481,23 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := assembleLoaded(g, ix, model, impV, starIdx, entries, byKey)
-	e.shard = shardM
+	// Snapshots carry no Config, so loaded engines get the auto parallel
+	// default (Workers 0).
+	e := &Engine{
+		g:          g,
+		ix:         ix,
+		model:      model,
+		searcher:   search.New(model),
+		starIdx:    starIdx,
+		imp:        impV,
+		mapEntries: entries,
+		lookup: func(table, key string) (graph.NodeID, bool) {
+			id, ok := byKey[table+"\x00"+key]
+			return id, ok
+		},
+		shard: shardM,
+	}
+	e.buildStats.Source = SourceStream
 	if shardM != nil {
 		// ownedDist is derived data: one undirected BFS over the shard
 		// subgraph reproduces the build-time table exactly, so it is never
@@ -622,13 +509,12 @@ func decodeV2(data []byte, alias bool) (*Engine, error) {
 }
 
 // decodeShardSection validates and decodes the shard section — the engine's
-// slice of its partition plan — together with the optional shard.owned
-// section holding the explicit owned node set. n and nEdges are the snapshot
-// graph's sizes: a shard subgraph spans the full global ID space, so
-// totalNodes must equal n, while totalEdges (the whole graph's) can only
-// exceed the shard's. Without shard.owned (snapshots from before locality
-// plans) ownership is the whole interval [lo, hi); with it, lo/hi must be
-// exactly the owned set's span so a re-save is byte-stable.
+// slice of its partition plan — together with the shard.owned section
+// holding the explicit owned node set; both are required. n and nEdges are
+// the snapshot graph's sizes: a shard subgraph spans the full global ID
+// space, so totalNodes must equal n, while totalEdges (the whole graph's)
+// can only exceed the shard's. lo/hi must be exactly the owned set's span so
+// a re-save is byte-stable.
 func decodeShardSection(secs map[string][]byte, n, nEdges int) (*shardMeta, error) {
 	b, ok := secs[secShard]
 	if !ok {
@@ -662,38 +548,34 @@ func decodeShardSection(secs map[string][]byte, n, nEdges int) (*shardMeta, erro
 	if lo > hi || hi > totalNodes {
 		return nil, badSnap("shard owned range [%d, %d) invalid for %d nodes", lo, hi, totalNodes)
 	}
-	var owned []graph.NodeID
-	if ob, ok := secs[secShardOwn]; ok {
-		if len(ob)%4 != 0 {
-			return nil, badSnap("section %q is %d bytes, want a multiple of 4", secShardOwn, len(ob))
+	ob, ok := secs[secShardOwn]
+	if !ok {
+		return nil, badSnap("shard flag set but section %q is missing", secShardOwn)
+	}
+	if len(ob)%4 != 0 {
+		return nil, badSnap("section %q is %d bytes, want a multiple of 4", secShardOwn, len(ob))
+	}
+	owned := make([]graph.NodeID, len(ob)/4)
+	prev := int64(-1)
+	for i := range owned {
+		id := int64(binary.LittleEndian.Uint32(ob[4*i:]))
+		if id <= prev {
+			return nil, badSnap("section %q not strictly ascending at entry %d", secShardOwn, i)
 		}
-		owned = make([]graph.NodeID, len(ob)/4)
-		prev := int64(-1)
-		for i := range owned {
-			id := int64(binary.LittleEndian.Uint32(ob[4*i:]))
-			if id <= prev {
-				return nil, badSnap("section %q not strictly ascending at entry %d", secShardOwn, i)
-			}
-			if uint64(id) >= totalNodes {
-				return nil, badSnap("section %q owns node %d of %d", secShardOwn, id, totalNodes)
-			}
-			prev = id
-			owned[i] = graph.NodeID(id)
+		if uint64(id) >= totalNodes {
+			return nil, badSnap("section %q owns node %d of %d", secShardOwn, id, totalNodes)
 		}
-		switch {
-		case len(owned) == 0:
-			if lo != hi {
-				return nil, badSnap("empty owned set with nonempty span [%d, %d)", lo, hi)
-			}
-		case uint64(owned[0]) != lo || uint64(owned[len(owned)-1])+1 != hi:
-			return nil, badSnap("owned set spans [%d, %d), shard section claims [%d, %d)",
-				owned[0], owned[len(owned)-1]+1, lo, hi)
+		prev = id
+		owned[i] = graph.NodeID(id)
+	}
+	switch {
+	case len(owned) == 0:
+		if lo != hi {
+			return nil, badSnap("empty owned set with nonempty span [%d, %d)", lo, hi)
 		}
-	} else {
-		owned = make([]graph.NodeID, 0, hi-lo)
-		for id := lo; id < hi; id++ {
-			owned = append(owned, graph.NodeID(id))
-		}
+	case uint64(owned[0]) != lo || uint64(owned[len(owned)-1])+1 != hi:
+		return nil, badSnap("owned set spans [%d, %d), shard section claims [%d, %d)",
+			owned[0], owned[len(owned)-1]+1, lo, hi)
 	}
 	return &shardMeta{
 		Index: int(index), Count: int(count), Radius: int(radius),

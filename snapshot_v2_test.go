@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -162,48 +163,35 @@ func TestOpenDeterministicResave(t *testing.T) {
 	}
 }
 
-// TestOpenAcceptsV1 checks the ops convenience path: pointing Open at a
-// legacy v1 file falls back to the stream decoder instead of failing.
-func TestOpenAcceptsV1(t *testing.T) {
-	loaded, err := Open(filepath.Join("testdata", "snapshots", "fig2_v1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
-	if got := loaded.BuildStats().Source; got != SourceStream {
-		t.Errorf("v1 file opened with Source %q, want %q", got, SourceStream)
-	}
-	if _, err := loaded.Search("ullman", 1); err != nil {
-		t.Fatal(err)
+// TestOpenRejectsV1 pins the format contract on the ops path: v2 is the
+// only snapshot format, so pointing Open at the committed v1-era file (the
+// pre-sectioned stream layout) fails with ErrBadSnapshot naming the version
+// instead of falling back to a stream decoder.
+func TestOpenRejectsV1(t *testing.T) {
+	e, err := Open(filepath.Join("testdata", "snapshots", "fig2_v1.snap"))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		if e != nil {
+			e.Close()
+		}
+		t.Fatalf("Open on a v1 file: err = %v, want ErrBadSnapshot for version 1", err)
 	}
 }
 
-// TestGoldenV1Snapshot loads the committed v1-format snapshot and checks it
-// still produces the same answers as a fresh build of the same fixture —
-// the backward-compatibility contract for snapshots written before the
-// sectioned format.
+// TestGoldenV1Snapshot keeps the committed v1-format snapshot as the
+// rejection fixture: LoadEngine refuses it with ErrBadSnapshot naming the
+// version, not decoded or half-read.
 func TestGoldenV1Snapshot(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "snapshots", "fig2_v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEngine(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("committed v1 snapshot no longer loads: %v", err)
+	if string(raw[:4]) != engineMagic || binary.LittleEndian.Uint32(raw[4:]) != 1 {
+		t.Fatalf("fixture header % x is not a v1 snapshot", raw[:8])
 	}
-	fresh := fig2Engine(t, DefaultConfig())
-	if loaded.NumNodes() != fresh.NumNodes() || loaded.NumEdges() != fresh.NumEdges() {
-		t.Fatalf("golden graph shape %d/%d, want %d/%d",
-			loaded.NumNodes(), loaded.NumEdges(), fresh.NumNodes(), fresh.NumEdges())
+	if _, err := LoadEngine(bytes.NewReader(raw)); !errors.Is(err, ErrBadSnapshot) ||
+		!strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("LoadEngine on a v1 file: err = %v, want ErrBadSnapshot for version 1", err)
 	}
-	requireSameResults(t, fresh, loaded, "papakonstantinou ullman", 3)
-	requireSameResults(t, fresh, loaded, "tsimmis ullman", 2)
-	// A v1 engine re-saves in v2 and keeps answering identically.
-	resaved, err := LoadEngine(bytes.NewReader(saveV2(t, loaded)))
-	if err != nil {
-		t.Fatalf("v1 engine fails to round-trip through v2: %v", err)
-	}
-	requireSameResults(t, fresh, resaved, "papakonstantinou ullman", 3)
 }
 
 // mergedEngine builds an IMDB engine where one person appears in two role
